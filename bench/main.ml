@@ -1,19 +1,14 @@
-(* The benchmark harness: regenerates every table of the paper's
-   evaluation (Tables 1-4) on the exom_bench suite, then runs one
-   bechamel microbenchmark per table on the underlying machinery.
+(* The paper-table harness: regenerates every table of the paper's
+   evaluation (Tables 1-4) on the exom_bench suite, then compares the
+   scheduler's sequential, parallel and warm-store runs.
 
-   Usage: dune exec bench/main.exe [-- --skip-bechamel] [--sched-json F]
-     [--perf-json F]
+   Usage: dune exec bench/main.exe [-- --sched-only] [--sched-json F]
 *)
 
 module B = Exom_bench.Bench_types
 module Runner = Exom_bench.Runner
 module Suite = Exom_bench.Suite
 module Demand = Exom_core.Demand
-module Oracle = Exom_core.Oracle
-module Session = Exom_core.Session
-module Interp = Exom_interp.Interp
-module Relevant = Exom_ddg.Relevant
 module Slice = Exom_ddg.Slice
 module Table = Exom_util.Table
 module Typecheck = Exom_lang.Typecheck
@@ -426,85 +421,8 @@ let write_sched_json path rows =
       Printf.fprintf oc "  ]\n}\n");
   Printf.printf "scheduler timings written to %s\n" path
 
-(* Bechamel microbenchmarks: one Test.make per table, exercising the
-   machinery that regenerates it. *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let gzip = Exom_bench.Gzipsim.bench in
-  let fault = List.hd gzip.B.faults in
-  let faulty = Typecheck.parse_and_check (B.faulty_source gzip fault) in
-  let correct = Typecheck.parse_and_check gzip.B.source in
-  let input = fault.B.failing_input in
-  let expected = Oracle.expected ~correct_prog:correct ~input in
-  let table1 =
-    Test.make ~name:"table1:parse+typecheck suite"
-      (Staged.stage (fun () ->
-           List.iter
-             (fun b -> ignore (Typecheck.parse_and_check b.B.source))
-             Suite.all))
-  in
-  let table2 =
-    Test.make ~name:"table2:DS+RS slicing (gzip V2-F3)"
-      (Staged.stage (fun () ->
-           let s =
-             Session.create ~prog:faulty ~input ~expected
-               ~profile_inputs:gzip.B.test_inputs ()
-           in
-           let c = [ s.Session.wrong_output ] in
-           ignore (Slice.compute s.Session.trace ~criteria:c);
-           ignore (Relevant.relevant_slice s.Session.rel ~criteria:c)))
-  in
-  let table3 =
-    Test.make ~name:"table3:demand-driven locate (gzip V2-F3)"
-      (Staged.stage (fun () -> ignore (Runner.run_fault gzip fault)))
-  in
-  let table4 =
-    Test.make ~name:"table4:plain vs traced execution"
-      (Staged.stage (fun () ->
-           ignore (Interp.run ~tracing:false faulty ~input);
-           ignore (Interp.run ~tracing:true faulty ~input)))
-  in
-  Test.make_grouped ~name:"tables" [ table1; table2; table3; table4 ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let open Bechamel.Toolkit in
-  print_endline "== Bechamel microbenchmarks (one per table) ==";
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 10) ()
-  in
-  let raw = Benchmark.all cfg instances (bechamel_tests ()) in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let t =
-    Table.create
-      ~aligns:[ Table.Left; Table.Right ]
-      [ "microbenchmark"; "time/run" ]
-  in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let time =
-        match Analyze.OLS.estimates ols_result with
-        | Some (est :: _) ->
-          if est >= 1e9 then Printf.sprintf "%.2f s" (est /. 1e9)
-          else if est >= 1e6 then Printf.sprintf "%.2f ms" (est /. 1e6)
-          else Printf.sprintf "%.2f us" (est /. 1e3)
-        | _ -> "n/a"
-      in
-      Table.add_row t [ name; time ])
-    results;
-  Table.print t;
-  print_newline ()
-
 let () =
   let args = Array.to_list Sys.argv in
-  let skip_bechamel =
-    List.mem "--skip-bechamel" args || List.mem "--tables-only" args
-  in
   let sched_only = List.mem "--sched-only" args in
   let rec flag_path name = function
     | f :: path :: _ when f = name -> Some path
@@ -512,7 +430,6 @@ let () =
     | [] -> None
   in
   let json_path = flag_path "--sched-json" args in
-  let perf_path = flag_path "--perf-json" args in
   print_endline
     "exom benchmark harness: reproducing the evaluation of \"Towards \
      Locating Execution Omission Errors\" (PLDI 2007)";
@@ -534,13 +451,6 @@ let () =
     print_ablations ();
     let rows = run_sched_comparison () in
     Option.iter (fun p -> write_sched_json p rows) json_path;
-    Option.iter
-      (fun p ->
-        let s = Exom_bench.Perf.run_suite ~label:"bench-harness" () in
-        Exom_bench.Perf.write p s;
-        Printf.printf "perf snapshot written to %s\n" p)
-      perf_path;
-    if not skip_bechamel then run_bechamel ();
     let located =
       List.length
         (List.filter (fun r -> r.Runner.report.Demand.found) results)

@@ -12,8 +12,8 @@
      dot     Graphviz rendering of the dynamic dependence graph
      regions the execution's region decomposition (Definition 3)
      bench   run one benchmark fault (or, with --all, the whole suite,
-             optionally appending a perf snapshot to a history file;
-             --export writes the fault's sources/input for exom client)
+             optionally writing its perf snapshot; --export writes the
+             fault's sources/input for exom client)
      regress compare two bench snapshots and flag metric regressions
      stats   pretty-print (or --diff) --metrics-out event logs
      serve   localization daemon over a Unix-domain socket (crash-safe:
@@ -901,61 +901,21 @@ let regions_cmd =
 
 (* bench *)
 
-let default_label () =
-  let tm = Unix.localtime (Unix.time ()) in
-  Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
-    tm.Unix.tm_mday
-
-let bench_suite jobs json_out history label corpus_count no_rank =
+let bench_suite jobs json_out corpus_count no_rank =
   let jobs =
     match jobs with Some j -> j | None -> Pool.default_jobs ()
   in
-  let label = match label with Some l -> l | None -> default_label () in
   let config =
     if no_rank then Some { Demand.default_config with Demand.ranking = None }
     else None
   in
-  let s = Perf.run_suite ?config ~jobs ~label ?corpus_count () in
-  Printf.printf "suite %s (%d job(s)): %d/%d located\n" s.Perf.label s.Perf.jobs
-    s.Perf.located s.Perf.total;
-  List.iter
-    (fun r ->
-      Printf.printf
-        "  %-8s %-6s %s  verifications %d (of %d queries), iterations %d, \
-         edges %d, prunings %d\n"
-        r.Perf.r_bench r.Perf.r_fault
-        (if r.Perf.r_found then "LOCATED    " else "not located")
-        r.Perf.r_verifications r.Perf.r_queries r.Perf.r_iterations
-        r.Perf.r_edges r.Perf.r_prunings)
-    s.Perf.rows;
-  Printf.printf
-    "  totals: %d switched runs (%.3fs), %d interpreter runs, store hit rate \
-     %.0f%%, wall %.3fs\n"
-    s.Perf.verify_runs s.Perf.verify_seconds s.Perf.interp_runs
-    (100.0 *. s.Perf.store_hit_rate)
-    s.Perf.wall_seconds;
-  Printf.printf
-    "  warm store: hit rate %.0f%%, %d switched run(s) still dispatched\n"
-    (100.0 *. s.Perf.warm_hit_rate)
-    s.Perf.warm_verify_runs;
-  (match s.Perf.corpus with
-  | Some c ->
-    Printf.printf
-      "  corpus (seed %d): %d/%d located, %d failed, mean iterations %.2f, \
-       mean verifications %.2f, wall %.3fs\n"
-      c.Perf.c_seed c.Perf.c_located c.Perf.c_total c.Perf.c_failed
-      c.Perf.c_mean_iterations c.Perf.c_mean_verifications
-      c.Perf.c_wall_seconds
-  | None -> ());
+  let reg = Perf.run_suite ?config ~jobs ?corpus_count () in
+  Printf.printf "suite (%d job(s)): %s\n" jobs (Perf.summary reg);
+  print_string (Exom_obs.Metrics.render reg);
   (match json_out with
   | Some path ->
-    Perf.write path s;
+    Vfs.get_ok (Export.write_metrics path reg);
     Printf.eprintf "snapshot written to %s\n" path
-  | None -> ());
-  (match history with
-  | Some path ->
-    Perf.append_history path s;
-    Printf.eprintf "snapshot appended to %s\n" path
   | None -> ());
   0
 
@@ -1072,8 +1032,8 @@ let bench_one name fid jobs store_dir trace_out metrics_out ledger_out export
 
 let bench_cmd =
   let action name fid all jobs store_dir trace_out metrics_out ledger_out
-      json_out history label export corpus_count no_rank =
-    if all then bench_suite jobs json_out history label corpus_count no_rank
+      json_out export corpus_count no_rank =
+    if all then bench_suite jobs json_out corpus_count no_rank
     else
       match (name, fid) with
       | Some name, Some fid ->
@@ -1104,23 +1064,9 @@ let bench_cmd =
       value
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
-          ~doc:"With --all: write the snapshot as a single-line JSON file")
-  in
-  let history_arg =
-    Arg.(
-      value
-      & opt ~vopt:(Some "BENCH_history.jsonl") (some string) None
-      & info [ "history" ] ~docv:"FILE"
           ~doc:
-            "With --all: append the snapshot to a history JSONL file \
-             (default $(b,BENCH_history.jsonl))")
-  in
-  let label_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "label" ] ~docv:"TAG"
-          ~doc:"Snapshot label (default: today's date)")
+            "With --all: write the snapshot, a metrics registry log that \
+             $(b,exom stats) and $(b,exom regress) read")
   in
   let export_arg =
     Arg.(
@@ -1140,8 +1086,7 @@ let bench_cmd =
       & info [ "corpus" ] ~docv:"N"
           ~doc:
             "With --all: also run a fixed-seed N-triple generated-corpus \
-             campaign and record it as the snapshot's corpus leg \
-             (schema v3)")
+             campaign and record it as the snapshot's corpus leg")
   in
   let no_rank_arg =
     Arg.(
@@ -1160,7 +1105,7 @@ let bench_cmd =
     Term.(
       const action $ name_arg $ fid_arg $ all_arg $ jobs_arg $ store_arg
       $ trace_out_arg $ metrics_out_arg $ ledger_out_arg $ json_arg
-      $ history_arg $ label_arg $ export_arg $ corpus_arg $ no_rank_arg)
+      $ export_arg $ corpus_arg $ no_rank_arg)
 
 (* regress *)
 
@@ -1173,38 +1118,40 @@ let regress_cmd =
     | _, Error e ->
       Printf.eprintf "%s: %s\n" new_file e;
       1
-    | Ok old_s, Ok new_s ->
-      Printf.printf "old: %s (%d job(s), %d/%d located)\n" old_s.Perf.label
-        old_s.Perf.jobs old_s.Perf.located old_s.Perf.total;
-      Printf.printf "new: %s (%d job(s), %d/%d located)\n" new_s.Perf.label
-        new_s.Perf.jobs new_s.Perf.located new_s.Perf.total;
-      let findings = Perf.compare ~tolerance ~time_tolerance old_s new_s in
-      print_string (Perf.render findings);
-      if check && Perf.has_regression findings then 1 else 0
+    | Ok older, Ok newer ->
+      Printf.printf "old: %s\nnew: %s\n" (Perf.summary older)
+        (Perf.summary newer);
+      let findings = Perf.drift ~tolerance ~time_tolerance older newer in
+      print_string (Exom_obs.Metrics.render_drift findings);
+      if check && Exom_obs.Metrics.has_drift findings then 1 else 0
   in
   let old_arg =
     Arg.(
       required
       & pos 0 (some file) None
-      & info [] ~docv:"OLD" ~doc:"Baseline snapshot (file or history JSONL)")
+      & info [] ~docv:"OLD" ~doc:"Baseline snapshot")
   in
   let new_arg =
     Arg.(
       required
       & pos 1 (some file) None
-      & info [] ~docv:"NEW" ~doc:"Candidate snapshot (file or history JSONL)")
+      & info [] ~docv:"NEW" ~doc:"Candidate snapshot")
   in
   let tolerance_arg =
     Arg.(
       value & opt float 0.1
       & info [ "tolerance" ] ~docv:"REL"
-          ~doc:"Relative tolerance for deterministic counts (0.1 = 10%)")
+          ~doc:
+            "Relative tolerance for deterministic counts and store hit \
+             rates (0.1 = 10%); a located fault may never be lost")
   in
   let time_tolerance_arg =
     Arg.(
       value & opt float 0.5
       & info [ "time-tolerance" ] ~docv:"REL"
-          ~doc:"Relative tolerance for wall-clock figures")
+          ~doc:
+            "Relative tolerance for wall-clock figures, compared only \
+             when both snapshots measured them")
   in
   let check_arg =
     Arg.(
@@ -1238,7 +1185,7 @@ let stats_cmd =
         | None -> ());
         Ok reg)
   in
-  let action file file2 diff no_timings tolerance =
+  let action file file2 diff no_timings =
     match (load_metrics file, file2) with
     | Error e, _ ->
       prerr_endline e;
@@ -1257,28 +1204,10 @@ let stats_cmd =
       | Error e ->
         prerr_endline e;
         1
-      | Ok reg2 -> (
+      | Ok reg2 ->
         print_string
           (Exom_obs.Metrics.render_diff ~timings:(not no_timings) reg reg2);
-        (* --tolerance turns the diff into a gate: exit 1 when any
-           deterministic scalar moved beyond it *)
-        match tolerance with
-        | None -> 0
-        | Some tolerance ->
-          let findings = Exom_obs.Metrics.drift ~tolerance reg reg2 in
-          let breaches =
-            List.filter
-              (fun f -> f.Exom_obs.Metrics.d_breach)
-              findings
-          in
-          if breaches = [] then 0
-          else begin
-            print_string (Exom_obs.Metrics.render_drift breaches);
-            Printf.eprintf
-              "exom stats: %d metric(s) drifted beyond tolerance %.2f\n"
-              (List.length breaches) tolerance;
-            1
-          end))
+        0)
   in
   let stats_file_arg =
     Arg.(
@@ -1307,16 +1236,6 @@ let stats_cmd =
             "Suppress wall-clock figures, leaving the subset that is \
              bit-identical across job counts and machines")
   in
-  let tolerance_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "tolerance" ] ~docv:"REL"
-          ~doc:
-            "Turn the diff into a gate: exit non-zero when any \
-             deterministic scalar (counter, gauge, timer count) moved by \
-             more than REL relative to FILE (0.0 = any movement)")
-  in
   Cmd.v
     (Cmd.info "stats"
        ~doc:
@@ -1324,7 +1243,7 @@ let stats_cmd =
           diff two of them")
     Term.(
       const action $ stats_file_arg $ stats_file2_arg $ diff_arg
-      $ no_timings_arg $ tolerance_arg)
+      $ no_timings_arg)
 
 (* serve *)
 

@@ -113,7 +113,7 @@ let diff_ledgers ea eb =
 (* Compare the legs both runs support, or exactly [legs] when given
    (an explicitly requested leg one side cannot provide is an error —
    a gate must not silently pass by comparing nothing). *)
-let audit ?(lanes = Spine.All) ?(tolerance = 0.0) ?direction_of ?legs a b =
+let audit ?(lanes = Spine.All) ?(tolerance = 0.0) ?legs a b =
   let want leg =
     match legs with None -> true | Some ls -> List.mem leg ls
   in
@@ -132,7 +132,9 @@ let audit ?(lanes = Spine.All) ?(tolerance = 0.0) ?direction_of ?legs a b =
   let* drift =
     match (want Metrics_leg, a.metrics, b.metrics) with
     | false, _, _ -> Ok None
-    | true, Some ma, Some mb -> Ok (Some (Metrics.drift ~tolerance ?direction_of ma mb))
+    | true, Some ma, Some mb ->
+      let rule _ = Some (Metrics.Both, tolerance) in
+      Ok (Some (Metrics.drift ~rule ma mb))
     | true, None, _ when explicit -> missing "metrics" a.path
     | true, _, None when explicit -> missing "metrics" b.path
     | true, _, _ -> Ok None

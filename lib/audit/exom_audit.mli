@@ -45,18 +45,17 @@ type t = {
   ledger : ledger_diff option;
 }
 
-(** [audit ?lanes ?tolerance ?direction_of ?legs a b].  Without
+(** [audit ?lanes ?tolerance ?legs a b].  Without
     [legs], every leg both runs support is compared (two runs with no
     comparable leg error out).  With [legs], exactly those are
     compared, and a side that cannot provide a requested leg is an
     error — a gate must not pass by comparing nothing.  [lanes]
     selects the spine projection (default [All]; use [Coordinator] for
-    resume-vs-uninterrupted comparisons); [tolerance]/[direction_of]
-    parameterize {!Exom_obs.Metrics.drift}. *)
+    resume-vs-uninterrupted comparisons); [tolerance] is the relative
+    drift every metric may move either way (default [0.0]). *)
 val audit :
   ?lanes:Exom_obs.Spine.lanes ->
   ?tolerance:float ->
-  ?direction_of:(string -> Exom_obs.Metrics.direction) ->
   ?legs:leg list ->
   run -> run ->
   (t, string) result

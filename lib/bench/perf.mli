@@ -1,135 +1,75 @@
-(** Suite-level performance snapshots and regression checks: the
-    persistent perf trajectory behind [exom bench --history] /
-    [BENCH_exom.json] and the [exom regress] comparator.
+(** Suite-level performance snapshots and the regression gate behind
+    [BENCH_exom.json], [exom bench --all --json] and [exom regress].
 
-    A snapshot is one run of the whole benchmark suite reduced to the
-    numbers worth tracking over time: localization outcomes per fault,
-    verification work (queries / switched runs / interpreter runs),
-    wall-clock sections, and the verdict-store hit rate.  Snapshots are
-    schema-versioned JSON (one object per line, so a history file is
-    plain JSONL) and {!compare} flags metric movements beyond tolerance
-    — counts strictly (they are deterministic), timings loosely (they
-    are not). *)
+    A snapshot is one run of the whole benchmark suite reduced to an
+    {!Exom_obs.Metrics} registry and written as a plain obs JSONL log
+    ({!Exom_obs.Export.write_metrics}), so [exom stats] renders it and
+    [exom audit --metrics] diffs two of them.  Its names:
+    - [suite.<bench>.<fault>.found] (0/1) and the fault's
+      [verifications], [queries], [iterations], [edges], [prunings];
+    - [suite.faults], [suite.located], [suite.queries],
+      [suite.switched_runs], [suite.interp_runs], [suite.jobs];
+    - [store.prime.*] and [store.warm.*]: [hits], [queries] and
+      [switched_runs] of a priming and a warm pass over one disk store;
+    - with a corpus leg: [corpus.seed], [corpus.count], [corpus.total],
+      [corpus.located], [corpus.failed] (no_failure + error rows) and
+      the [corpus.iterations] / [corpus.verifications] summed over the
+      rows that ran;
+    - timers, one observation each: [suite.wall] (cold pass),
+      [suite.traced_wall] (the cold pass with span recording on),
+      [suite.verify] (switched-run seconds summed over workers, not
+      wall time) and [corpus.wall].
 
-val schema_name : string
-val schema_version : int
-
-type row = {
-  r_bench : string;
-  r_fault : string;
-  r_found : bool;
-  r_verifications : int;
-  r_queries : int;
-  r_iterations : int;
-  r_edges : int;
-  r_prunings : int;
-}
-
-(** The optional corpus leg (schema v3): a fixed-seed generated
-    campaign run end to end.  Counts are deterministic in
-    [(c_seed, c_count)]; only [c_wall_seconds] is noisy. *)
-type corpus_leg = {
-  c_seed : int;
-  c_count : int;
-  c_located : int;
-  c_total : int;
-  c_failed : int;  (** no_failure + error rows *)
-  c_mean_iterations : float;  (** over rows that ran *)
-  c_mean_verifications : float;
-  c_wall_seconds : float;
-}
-
-type snapshot = {
-  label : string;  (** free-form tag, e.g. a date or a commit subject *)
-  jobs : int;
-  rows : row list;
-  located : int;  (** faults whose root cause entered the slice *)
-  total : int;
-  verify_runs : int;  (** switched re-executions across the suite *)
-  verify_seconds : float;
-  interp_runs : int;  (** every interpreter execution, profiling included *)
-  store_hit_rate : float;
-      (** hit rate of the {e priming} pass over one shared disk store *)
-  warm_hit_rate : float;
-      (** hit rate of a second pass over the primed store: the
-          cache-health number (should be close to 1) *)
-  warm_verify_runs : int;
-      (** switched runs the warm pass still had to dispatch (should be
-          close to 0) *)
-  wall_seconds : float;  (** whole-suite wall clock *)
-  traced_wall_seconds : float;
-      (** the cold suite re-run with span recording on (schema v4):
-          tracks what [--trace-out] costs, so tracing never silently
-          becomes a tax.  [0.0] on v1-v3 snapshots read back from
-          disk; {!compare} only gates it when both sides measured
-          it. *)
-  corpus : corpus_leg option;
-      (** [None] when the snapshot skipped the corpus leg (and on every
-          v1/v2 snapshot read back from disk) *)
-}
+    Every counter is deterministic for a given program and
+    configuration; only the timers are noisy. *)
 
 (** Run the full suite and reduce it to a snapshot: a cold pass (no
-    store — the per-fault rows and run totals), then a priming pass and
-    a warm pass over one shared disk store (the [store_hit_rate] /
-    [warm_*] figures; each fault opens a fresh handle, so warm hits are
-    honest disk hits).  [jobs] sizes the verification pool (default:
-    [EXOM_JOBS] via the default pool).  [config] overrides the
-    locator's configuration on every leg — e.g.
+    store — the per-fault counts and suite totals), a traced re-run of
+    it, then a priming pass and a warm pass over one shared disk store
+    (each fault opens a fresh handle, so warm hits are honest disk
+    hits).  [jobs] sizes the verification pool (default: [EXOM_JOBS]
+    via the default pool).  [config] overrides the locator's
+    configuration on every leg — e.g.
     [{ Demand.default_config with ranking = None }] measures the
-    static-order control for the ranked-vs-static comparison. *)
+    static-order control for the rank gate.  [corpus_count] adds the
+    corpus leg: a [corpus_count]-triple campaign generated at seed 1. *)
 val run_suite :
   ?config:Exom_core.Demand.config ->
   ?jobs:int ->
-  ?label:string ->
   ?corpus_count:int ->
   unit ->
-  snapshot
+  Exom_obs.Metrics.t
 
-(** Run just the corpus leg: generate a [count]-triple corpus at
-    [seed] and run its campaign in a scratch directory. *)
-val run_corpus :
-  ?config:Exom_core.Demand.config ->
-  ?jobs:int ->
-  seed:int ->
-  count:int ->
-  unit ->
-  corpus_leg
+(** One line: located faults, switched and interpreter runs, the warm
+    pass's health and the corpus leg's outcome. *)
+val summary : Exom_obs.Metrics.t -> string
 
-(** {2 Serialization} *)
+(** Load a snapshot: a registry log, or a pre-registry [exom.bench]
+    v1-v4 line (the file's last non-empty line, so old history files
+    read too) mapped onto the same names.  A torn registry log is an
+    error, not a salvage. *)
+val load : string -> (Exom_obs.Metrics.t, string) result
 
-val to_json : snapshot -> Exom_obs.Json.t
-val of_json : Exom_obs.Json.t -> (snapshot, string) result
-
-(** One JSON object on one line (both the single-snapshot file format
-    and the history line format). *)
-val to_line : snapshot -> string
-
-(** Write a single-snapshot file (used for the committed baseline). *)
-val write : string -> snapshot -> unit
-
-(** Append one snapshot line to a history JSONL file (created if
-    missing). *)
-val append_history : string -> snapshot -> unit
-
-(** Load the snapshot from [path]: the last non-empty line — so a
-    baseline file and a history file read the same way. *)
-val load : string -> (snapshot, string) result
-
-(** {2 Regression comparison} *)
-
-type severity = Regression | Info
-
-type finding = { severity : severity; metric : string; detail : string }
-
-(** [compare ~tolerance ~time_tolerance old_s new_s]: regressions are a
-    drop in located faults (or any previously-located fault now
-    missed), a deterministic count (queries, switched runs, interpreter
-    runs) growing beyond [tolerance] (relative, e.g. [0.1] = +10%), or
-    a timing growing beyond [time_tolerance]; improvements beyond the
-    same thresholds are reported as [Info]. *)
-val compare :
-  tolerance:float -> time_tolerance:float -> snapshot -> snapshot ->
-  finding list
-
-val has_regression : finding list -> bool
-val render : finding list -> string
+(** [drift ~tolerance ~time_tolerance older newer]:
+    {!Exom_obs.Metrics.drift} under the snapshot's rule table.
+    - located flags ([*.found], [suite.located], [corpus.located]):
+      [Down] at zero tolerance, whatever [tolerance] says;
+    - [corpus.seed] / [corpus.count]: [Both] at zero — another corpus
+      is no baseline;
+    - the deterministic costs ([suite.queries],
+      [suite.switched_runs], [suite.interp_runs],
+      [store.warm.switched_runs], [corpus.failed],
+      [corpus.iterations], [corpus.verifications]): [Up] at
+      [tolerance];
+    - each store pass's hit rate, compared as [store.<pass>.hit_ppm]:
+      [Down] at [tolerance];
+    - each timer measured on both sides, compared as [<timer>.us]:
+      [Up] at [time_tolerance].
+    A metric [older] never recorded has no baseline and is not
+    compared; one [newer] lost is a vanished metric. *)
+val drift :
+  tolerance:float ->
+  time_tolerance:float ->
+  Exom_obs.Metrics.t ->
+  Exom_obs.Metrics.t ->
+  Exom_obs.Metrics.drift_finding list

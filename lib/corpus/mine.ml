@@ -1,4 +1,5 @@
 module Json = Exom_obs.Json
+module Rank = Exom_rank.Rank
 
 let schema_name = "exom.corpus.mine"
 let schema_version = 1
@@ -68,24 +69,6 @@ let group key_of rows =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
   |> List.map (fun (k, rs) -> bucket_of k rs)
 
-let size_bucket (o : Campaign.outcome) =
-  let s = o.Campaign.o_stmts in
-  if s <= 10 then "stmts<=10"
-  else if s <= 20 then "stmts11-20"
-  else if s <= 40 then "stmts21-40"
-  else "stmts>40"
-
-let density_bucket (o : Campaign.outcome) =
-  if o.Campaign.o_stmts = 0 then "density0-10"
-  else
-    let d =
-      float_of_int o.Campaign.o_predicates /. float_of_int o.Campaign.o_stmts
-    in
-    if d < 0.10 then "density0-10"
-    else if d < 0.20 then "density10-20"
-    else if d < 0.30 then "density20-30"
-    else "density30+"
-
 let mine rows =
   {
     mi_total = List.length rows;
@@ -96,8 +79,13 @@ let mine rows =
     mi_failed = List.length (List.filter (fun r -> not (ran r)) rows);
     mi_by_class = group (fun r -> r.Campaign.o_class) rows;
     mi_by_family = group (fun r -> r.Campaign.o_family) rows;
-    mi_by_size = group size_bucket rows;
-    mi_by_density = group density_bucket rows;
+    mi_by_size = group (fun r -> Rank.size_key r.Campaign.o_stmts) rows;
+    mi_by_density =
+      group
+        (fun r ->
+          Rank.density_key ~stmts:r.Campaign.o_stmts
+            ~predicates:r.Campaign.o_predicates)
+        rows;
   }
 
 (* {2 Codec} *)

@@ -230,12 +230,13 @@ let render_diff ?(timings = true) a b =
    The typed successor of {!render_diff}: one finding per metric in the
    union of names, computed on the deterministic scalar only
    (counter/gauge value, timer count — wall-clock sums are never
-   drift).  [direction_of] makes the tolerance direction-aware: a
+   drift).  [rule] gives each name a direction and a tolerance: a
    metric whose direction is [Up] only breaches when it grows (a cost,
    e.g. "verify.run"), [Down] only when it shrinks (a health figure,
-   e.g. "store.hits"), [Both] on any movement beyond tolerance.  The
-   relative delta of a metric absent on one side is [infinity] — a
-   metric appearing or vanishing always breaches a finite tolerance. *)
+   e.g. "store.hits"), [Both] on any movement beyond its tolerance; a
+   name the rule maps to [None] is not compared at all.  The relative
+   delta of a metric absent on one side is [infinity] — a metric
+   appearing or vanishing always breaches a finite tolerance. *)
 
 type direction = Up | Down | Both
 
@@ -250,7 +251,7 @@ type drift_finding = {
   d_breach : bool;
 }
 
-let drift ?(tolerance = 0.0) ?(direction_of = fun _ -> Both) a b =
+let drift ?(rule = fun _ -> Some (Both, 0.0)) a b =
   let module S = Set.Make (String) in
   let names =
     S.elements
@@ -260,41 +261,43 @@ let drift ?(tolerance = 0.0) ?(direction_of = fun _ -> Both) a b =
   in
   List.filter_map
     (fun name ->
-      let ma = find a name and mb = find b name in
-      let kind =
-        match (ma, mb) with
-        | Some m, _ | None, Some m -> m.kind
-        | None, None -> Counter
-      in
-      let scalar = function
-        | None -> 0
-        | Some m -> (
-          match m.kind with Counter | Gauge -> m.value | Timer -> m.count)
-      in
-      let ov = scalar ma and nv = scalar mb in
-      let d = nv - ov in
-      if d = 0 then None
-      else
-        let rel =
-          if ov <> 0 then float_of_int d /. float_of_int ov
-          else if d > 0 then infinity
-          else neg_infinity
+      match rule name with
+      | None -> None
+      | Some (direction, tolerance) ->
+        let ma = find a name and mb = find b name in
+        let kind =
+          match (ma, mb) with
+          | Some m, _ | None, Some m -> m.kind
+          | None, None -> Counter
         in
-        let direction = direction_of name in
-        let counted =
-          match direction with Up -> d > 0 | Down -> d < 0 | Both -> true
+        let scalar = function
+          | None -> 0
+          | Some m -> (
+            match m.kind with Counter | Gauge -> m.value | Timer -> m.count)
         in
-        Some
-          {
-            d_name = name;
-            d_kind = kind;
-            d_older = ov;
-            d_newer = nv;
-            d_delta = d;
-            d_rel = rel;
-            d_direction = direction;
-            d_breach = counted && Float.abs rel > tolerance;
-          })
+        let ov = scalar ma and nv = scalar mb in
+        let d = nv - ov in
+        if d = 0 then None
+        else
+          let rel =
+            if ov <> 0 then float_of_int d /. float_of_int ov
+            else if d > 0 then infinity
+            else neg_infinity
+          in
+          let counted =
+            match direction with Up -> d > 0 | Down -> d < 0 | Both -> true
+          in
+          Some
+            {
+              d_name = name;
+              d_kind = kind;
+              d_older = ov;
+              d_newer = nv;
+              d_delta = d;
+              d_rel = rel;
+              d_direction = direction;
+              d_breach = counted && Float.abs rel > tolerance;
+            })
     names
 
 let has_drift findings = List.exists (fun f -> f.d_breach) findings

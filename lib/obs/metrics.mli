@@ -80,8 +80,8 @@ val render_diff : ?timings:bool -> t -> t -> string
 (** {2 Drift: the typed, gateable diff}
 
     One finding per metric whose deterministic scalar moved, with a
-    direction-aware tolerance verdict.  Backs [exom stats --tolerance]
-    and the metric leg of [exom audit]. *)
+    direction-aware tolerance verdict.  Backs the metric leg of
+    [exom audit] and [exom regress]. *)
 
 (** Which movement counts against the tolerance: [Up] — growth is
     drift (costs, e.g. ["verify.run"]); [Down] — shrinkage is drift
@@ -101,16 +101,14 @@ type drift_finding = {
   d_breach : bool;  (** beyond [tolerance] in the counted direction *)
 }
 
-(** [drift ?tolerance ?direction_of older newer] — only metrics whose
-    scalar moved are reported; [d_breach] is set when the movement is
-    in the counted direction and its relative size exceeds [tolerance]
-    (default [0.0]: any movement breaches).  [direction_of] defaults to
-    [Both] for every name. *)
+(** [drift ?rule older newer] — only metrics whose scalar moved are
+    reported.  [rule name] is the metric's direction and relative
+    tolerance, or [None] to leave it out of the comparison; [d_breach]
+    is set when the movement is in the counted direction and its
+    relative size exceeds the tolerance.  The default rule is [Both] at
+    [0.0] for every name: any movement breaches. *)
 val drift :
-  ?tolerance:float ->
-  ?direction_of:(string -> direction) ->
-  t -> t ->
-  drift_finding list
+  ?rule:(string -> (direction * float) option) -> t -> t -> drift_finding list
 
 val has_drift : drift_finding list -> bool
 

@@ -90,9 +90,9 @@ let default_config =
    byte-stable. *)
 let round4 f = Float.round (f *. 10_000.0) /. 10_000.0
 
-(* The miner's bucket keys (see Exom_corpus.Mine): reproduced here
-   because the corpus library sits above this one in the dependency
-   order. *)
+(* The mined table's bucket keys.  They live here, below the corpus
+   library in the dependency order, and Exom_corpus.Mine buckets its
+   rows with them, so miner and prior can never disagree on a key. *)
 let size_key stmts =
   if stmts <= 10 then "stmts<=10"
   else if stmts <= 20 then "stmts11-20"

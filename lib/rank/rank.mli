@@ -25,6 +25,16 @@
     prior uses. *)
 type model
 
+(** The mined table's size bucket of a program with [stmts]
+    statements, e.g. ["stmts11-20"].  [Exom_corpus.Mine] buckets its
+    rows with this key, so the prior lookup always finds them. *)
+val size_key : int -> string
+
+(** The predicate-density bucket (predicates per statement), e.g.
+    ["density10-20"]; shared with [Exom_corpus.Mine] like
+    {!size_key}. *)
+val density_key : stmts:int -> predicates:int -> string
+
 (** Strict parser for the ["exom.corpus.mine"] v1 document.  Anything
     else — corrupt or truncated JSON, a foreign schema, an unsupported
     version, missing buckets — is an [Error] with a one-line reason;

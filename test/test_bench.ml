@@ -399,10 +399,291 @@ let test_sed_cascade_two_edges () =
   Alcotest.(check int) "2 iterations" 2 r.Runner.report.Demand.iterations;
   Alcotest.(check int) "2 edges" 2 r.Runner.report.Demand.expanded_edges
 
+(* {2 Perf snapshots: the registry behind BENCH_exom.json and regress} *)
+
+module Perf = Exom_bench.Perf
+module Metrics = Exom_obs.Metrics
+module Json = Exom_obs.Json
+
+(* A hand-made snapshot: one suite fault, the suite totals, both store
+   passes (100 queries each) and, optionally, a corpus leg. *)
+let snapshot ?(found = true) ?(switched_runs = 100) ?(warm_hits = 95)
+    ?(warm_runs = 0) ?(wall = 1.0) ?traced ?corpus () =
+  let reg = Metrics.create () in
+  List.iter
+    (fun (name, v) -> Metrics.add reg name v)
+    [ ("suite.gzipsim.V2-F3.found", Bool.to_int found);
+      ("suite.gzipsim.V2-F3.queries", 10);
+      ("suite.faults", 1);
+      ("suite.located", Bool.to_int found);
+      ("suite.queries", 10);
+      ("suite.switched_runs", switched_runs);
+      ("suite.interp_runs", 100);
+      ("store.prime.hits", 50);
+      ("store.prime.queries", 100);
+      ("store.warm.hits", warm_hits);
+      ("store.warm.queries", 100);
+      ("store.warm.switched_runs", warm_runs) ];
+  Metrics.observe reg "suite.wall" wall;
+  Metrics.observe reg "suite.verify" 0.1;
+  Option.iter (Metrics.observe reg "suite.traced_wall") traced;
+  Option.iter
+    (fun (seed, located, failed) ->
+      List.iter
+        (fun (name, v) -> Metrics.add reg name v)
+        [ ("corpus.seed", seed); ("corpus.count", 10); ("corpus.total", 10);
+          ("corpus.located", located); ("corpus.failed", failed);
+          ("corpus.iterations", 5); ("corpus.verifications", 22) ];
+      Metrics.observe reg "corpus.wall" 3.0)
+    corpus;
+  reg
+
+let regress ?(tolerance = 0.1) ?(time_tolerance = 0.5) older newer =
+  Perf.drift ~tolerance ~time_tolerance older newer
+
+let breaches findings =
+  List.filter_map
+    (fun f -> if f.Metrics.d_breach then Some f.Metrics.d_name else None)
+    findings
+
+let check_clean what findings =
+  Alcotest.(check (list string)) what [] (breaches findings)
+
+let check_breach what name findings =
+  Alcotest.(check bool) what true (List.mem name (breaches findings))
+
+let load_string content =
+  let path = Filename.temp_file "exom_perf" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc content);
+      Perf.load path)
+
+let load_ok content =
+  match load_string content with
+  | Ok reg -> reg
+  | Error e -> Alcotest.failf "snapshot rejected: %s" e
+
+let roundtrip reg =
+  let path = Filename.temp_file "exom_perf" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Exom_util.Vfs.get_ok (Exom_obs.Export.write_metrics path reg);
+      match Perf.load path with
+      | Ok reg -> reg
+      | Error e -> Alcotest.failf "snapshot does not read back: %s" e)
+
+(* A pre-registry [exom.bench] line over one located gzipsim row. *)
+let legacy_line ~version ?(drop = []) () =
+  let n x = Json.Num x in
+  Json.to_string
+    (Json.Obj
+       (List.filter
+          (fun (k, _) -> not (List.mem k drop))
+          [ ("schema", Json.Str "exom.bench");
+            ("version", n (float_of_int version));
+            ("label", Json.Str "old");
+            ("jobs", n 1.0);
+            ("located", n 1.0);
+            ("total", n 1.0);
+            ("verify_runs", n 100.0);
+            ("verify_seconds", n 0.1);
+            ("interp_runs", n 100.0);
+            ("store_hit_rate", n 0.5);
+            ("warm_hit_rate", n 0.95);
+            ("warm_verify_runs", n 0.0);
+            ("wall_seconds", n 1.0);
+            ("traced_wall_seconds", n 2.0);
+            ( "rows",
+              Json.Arr
+                [ Json.Obj
+                    [ ("bench", Json.Str "gzipsim");
+                      ("fault", Json.Str "V2-F3");
+                      ("found", Json.Bool true);
+                      ("verifications", n 5.0);
+                      ("queries", n 10.0);
+                      ("iterations", n 2.0);
+                      ("edges", n 3.0);
+                      ("prunings", n 7.0) ] ] ) ]))
+
+let test_perf_roundtrip () =
+  let reg = snapshot ~traced:2.0 ~corpus:(1, 10, 0) () in
+  Alcotest.(check string) "registry log reads back unchanged"
+    (Metrics.render reg) (Metrics.render (roundtrip reg));
+  (match load_string {|{"schema":"exom.bench","version":99}|} with
+  | Ok _ -> Alcotest.fail "version skew accepted"
+  | Error _ -> ());
+  (* a torn registry log would compare fewer metrics: refused *)
+  let path = Filename.temp_file "exom_perf" ".jsonl" in
+  Exom_util.Vfs.get_ok (Exom_obs.Export.write_metrics path reg);
+  let content = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  match load_string (String.sub content 0 (String.length content - 8)) with
+  | Ok _ -> Alcotest.fail "torn snapshot accepted"
+  | Error _ -> ()
+
+let test_perf_v1_compat () =
+  (* a v1 line predates the warm pass: it reads without warm metrics,
+     and their absence is no baseline, not a drop *)
+  let v1 =
+    load_ok
+      (legacy_line ~version:1
+         ~drop:[ "warm_hit_rate"; "warm_verify_runs"; "traced_wall_seconds" ]
+         ())
+  in
+  Alcotest.(check bool) "no warm metrics" true
+    (Metrics.find v1 "store.warm.switched_runs" = None);
+  Alcotest.(check int) "rows map onto the same names" 1
+    (Metrics.counter_value v1 "suite.gzipsim.V2-F3.found");
+  check_clean "no spurious warm regression"
+    (regress v1 (snapshot ~warm_runs:3 ~warm_hits:10 ()))
+
+let test_perf_v3_compat_and_traced_gate () =
+  (* v3 predates the traced pass: the traced timer is gated only when
+     both sides measured it *)
+  let v3 =
+    load_ok (legacy_line ~version:3 ~drop:[ "traced_wall_seconds" ] ())
+  in
+  let s = snapshot ~traced:2.0 () in
+  Alcotest.(check bool) "no traced timer" true
+    (Metrics.find v3 "suite.traced_wall" = None);
+  let findings = regress v3 s in
+  check_clean "v3 against its registry twin" findings;
+  Alcotest.(check bool) "no traced gate without both sides" false
+    (List.exists (fun f -> f.Metrics.d_name = "suite.traced_wall.us") findings);
+  let v4 = load_ok (legacy_line ~version:4 ()) in
+  Alcotest.(check (float 0.0)) "v4 keeps the traced wall" 2.0
+    (Metrics.timer_seconds v4 "suite.traced_wall");
+  check_breach "traced slowdown beyond tolerance flagged"
+    "suite.traced_wall.us"
+    (regress s (snapshot ~traced:9.0 ()))
+
+let test_perf_compare () =
+  let old_s = snapshot () in
+  check_clean "small drift tolerated"
+    (regress old_s (snapshot ~switched_runs:105 ~wall:1.1 ()));
+  check_breach "count growth flagged" "suite.switched_runs"
+    (regress old_s (snapshot ~switched_runs:150 ()));
+  let missed = regress ~tolerance:1e6 old_s (snapshot ~found:false ()) in
+  check_breach "lost localization flagged at any tolerance"
+    "suite.gzipsim.V2-F3.found" missed;
+  check_breach "located total flagged" "suite.located" missed;
+  let faster = regress old_s (snapshot ~switched_runs:50 ()) in
+  check_clean "improvement is not a regression" faster;
+  Alcotest.(check bool) "improvement is still reported" true (faster <> []);
+  check_breach "timing growth flagged" "suite.wall.us"
+    (regress old_s (snapshot ~wall:3.0 ()))
+
+let test_perf_warm_regression () =
+  let old_s = snapshot () in
+  check_breach "warm hit rate collapse flagged" "store.warm.hit_ppm"
+    (regress old_s (snapshot ~warm_hits:40 ()));
+  check_breach "warm dispatches flagged from a zero baseline"
+    "store.warm.switched_runs"
+    (regress old_s (snapshot ~warm_runs:7 ()));
+  check_clean "warm improvement is not a regression"
+    (regress ~tolerance:0.03 old_s (snapshot ~warm_hits:100 ()))
+
+let test_perf_corpus_leg () =
+  let old_s = snapshot ~corpus:(1, 10, 0) () in
+  Alcotest.(check string) "the leg reads back unchanged"
+    (Metrics.render old_s) (Metrics.render (roundtrip old_s));
+  check_breach "corpus located drop flagged" "corpus.located"
+    (regress old_s (snapshot ~corpus:(1, 8, 0) ()));
+  check_clean "baseline without the leg is no baseline"
+    (regress (snapshot ()) old_s)
+
+let test_perf_corpus_failed () =
+  check_breach "a failed corpus row breaches from zero" "corpus.failed"
+    (regress (snapshot ~corpus:(1, 10, 0) ()) (snapshot ~corpus:(1, 10, 1) ()))
+
+let test_perf_corpus_absent () =
+  check_breach "a corpus leg missing on the new side breaches"
+    "corpus.located"
+    (regress (snapshot ~corpus:(1, 10, 0) ()) (snapshot ()))
+
+let test_perf_corpus_seed () =
+  check_breach "another corpus is no baseline: breach" "corpus.seed"
+    (regress (snapshot ~corpus:(1, 10, 0) ()) (snapshot ~corpus:(2, 10, 0) ()))
+
+(* The v3 baseline committed before snapshots became registries. *)
+let committed_v3 =
+  {|{"schema":"exom.bench","version":3,"label":"ranked 2026-08-08",|}
+  ^ {|"jobs":2,"located":13,"total":13,"verify_runs":291,|}
+  ^ {|"verify_seconds":0.428364,"interp_runs":304,"store_hit_rate":0,|}
+  ^ {|"warm_hit_rate":1,"warm_verify_runs":0,"wall_seconds":1.062655,|}
+  ^ {|"rows":[{"bench":"flexsim","fault":"V1-F9","found":true,|}
+  ^ {|"verifications":27,"queries":27,"iterations":2,"edges":2,|}
+  ^ {|"prunings":116},{"bench":"flexsim","fault":"V2-F14","found":true,|}
+  ^ {|"verifications":7,"queries":7,"iterations":2,"edges":2,|}
+  ^ {|"prunings":180},{"bench":"flexsim","fault":"V3-F10","found":true,|}
+  ^ {|"verifications":16,"queries":16,"iterations":1,"edges":4,|}
+  ^ {|"prunings":302},{"bench":"flexsim","fault":"V4-F6","found":true,|}
+  ^ {|"verifications":31,"queries":31,"iterations":1,"edges":4,|}
+  ^ {|"prunings":299},{"bench":"flexsim","fault":"V5-F6","found":true,|}
+  ^ {|"verifications":2,"queries":2,"iterations":1,"edges":1,|}
+  ^ {|"prunings":244},{"bench":"grepsim","fault":"V4-F2","found":true,|}
+  ^ {|"verifications":83,"queries":131,"iterations":27,"edges":92,|}
+  ^ {|"prunings":155},{"bench":"grepsim","fault":"V5-F1","found":true,|}
+  ^ {|"verifications":72,"queries":106,"iterations":13,"edges":55,|}
+  ^ {|"prunings":82},{"bench":"grepsim","fault":"V4-F5","found":true,|}
+  ^ {|"verifications":21,"queries":21,"iterations":2,"edges":8,|}
+  ^ {|"prunings":100},{"bench":"gzipsim","fault":"V2-F3","found":true,|}
+  ^ {|"verifications":7,"queries":7,"iterations":1,"edges":1,|}
+  ^ {|"prunings":16},{"bench":"gzipsim","fault":"V2-F9","found":true,|}
+  ^ {|"verifications":9,"queries":44,"iterations":3,"edges":17,|}
+  ^ {|"prunings":167},{"bench":"gzipsim","fault":"V2-F7","found":true,|}
+  ^ {|"verifications":5,"queries":16,"iterations":2,"edges":2,|}
+  ^ {|"prunings":81},{"bench":"sedsim","fault":"V3-F2","found":true,|}
+  ^ {|"verifications":4,"queries":4,"iterations":2,"edges":2,|}
+  ^ {|"prunings":243},{"bench":"sedsim","fault":"V3-F3","found":true,|}
+  ^ {|"verifications":7,"queries":7,"iterations":1,"edges":2,|}
+  ^ {|"prunings":96}],"corpus":{"seed":1,"count":30,"located":28,|}
+  ^ {|"total":30,"failed":0,"mean_iterations":1.266667,|}
+  ^ {|"mean_verifications":12.033333,"wall_seconds":9.853956}}|}
+
+(* The registry a current run writes for the same counts.  Its store
+   passes count 431 store queries, not the suite's 419 verification
+   queries, so only the hit rates can match: they are what is
+   compared. *)
+let registry_twin () =
+  let reg = Metrics.create () in
+  List.iter
+    (fun fault -> Metrics.add reg ("suite." ^ fault ^ ".found") 1)
+    [ "flexsim.V1-F9"; "flexsim.V2-F14"; "flexsim.V3-F10"; "flexsim.V4-F6";
+      "flexsim.V5-F6"; "grepsim.V4-F2"; "grepsim.V5-F1"; "grepsim.V4-F5";
+      "gzipsim.V2-F3"; "gzipsim.V2-F9"; "gzipsim.V2-F7"; "sedsim.V3-F2";
+      "sedsim.V3-F3" ];
+  List.iter
+    (fun (name, v) -> Metrics.add reg name v)
+    [ ("suite.jobs", 2); ("suite.faults", 13); ("suite.located", 13);
+      ("suite.queries", 419); ("suite.switched_runs", 291);
+      ("suite.interp_runs", 304); ("store.prime.hits", 0);
+      ("store.prime.queries", 431); ("store.warm.hits", 431);
+      ("store.warm.queries", 431); ("store.warm.switched_runs", 0);
+      ("corpus.seed", 1); ("corpus.count", 30); ("corpus.total", 30);
+      ("corpus.located", 28); ("corpus.failed", 0);
+      ("corpus.iterations", 38); ("corpus.verifications", 361) ];
+  List.iter
+    (fun (name, s) -> Metrics.observe reg name s)
+    [ ("suite.wall", 0.9); ("suite.verify", 0.5); ("suite.traced_wall", 1.2);
+      ("corpus.wall", 3.4) ];
+  reg
+
+let test_perf_committed_v3_clean () =
+  let findings =
+    regress ~tolerance:0.0 ~time_tolerance:1000.0 (load_ok committed_v3)
+      (registry_twin ())
+  in
+  check_clean "committed v3 line vs registry twin" findings
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   let slow name f = Alcotest.test_case name `Slow f in
-  Alcotest.run "bench"
+  Alcotest.run ~and_exit:false "bench"
     [ ( "infrastructure",
         [ tc "input encoding" test_input_encoding;
           tc "fault line and source" test_fault_line_and_source;
@@ -438,4 +719,22 @@ let () =
             test_verify_modes_agree_on_suite;
           slow "union-graph condition (iv)" test_union_graph_backend;
           slow "critical-predicate search fails where demand succeeds"
-            test_critical_search_comparison ] ) ]
+            test_critical_search_comparison ] ) ];
+  (* The snapshot cases are a suite of their own: Alcotest pads every
+     group to the widest name of its run and cuts case names to fit the
+     line, and under "front-end coverage" the longer ones would print
+     cut. *)
+  Alcotest.run "perf"
+    [ ( "perf",
+        [ tc "snapshot round-trip" test_perf_roundtrip;
+          tc "v1 snapshot compatibility" test_perf_v1_compat;
+          tc "v3 compatibility and traced gate"
+            test_perf_v3_compat_and_traced_gate;
+          tc "regression comparator" test_perf_compare;
+          tc "warm-store regression gates" test_perf_warm_regression;
+          tc "corpus leg round-trip and gates" test_perf_corpus_leg;
+          tc "corpus failed row breaches" test_perf_corpus_failed;
+          tc "absent corpus leg breaches" test_perf_corpus_absent;
+          tc "seed-mismatched corpus leg breaches" test_perf_corpus_seed;
+          tc "committed v3 baseline is clean at zero tolerance"
+            test_perf_committed_v3_clean ] ) ]

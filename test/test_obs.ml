@@ -473,7 +473,7 @@ let test_drift_tolerance_and_direction () =
   Alcotest.(check bool) "zero tolerance breaches" true
     (Metrics.has_drift strict);
   (* 10% tolerance forgives the +4% but not the -20% *)
-  let loose = Metrics.drift ~tolerance:0.1 a b in
+  let loose = Metrics.drift ~rule:(fun _ -> Some (Metrics.Both, 0.1)) a b in
   let breached =
     List.filter_map
       (fun f -> if f.Metrics.d_breach then Some f.Metrics.d_name else None)
@@ -482,20 +482,29 @@ let test_drift_tolerance_and_direction () =
   Alcotest.(check (list string)) "only the large movement breaches"
     [ "store.hits" ] breached;
   (* direction-aware: hits shrinking is drift, runs shrinking is not *)
-  let direction_of name =
-    if name = "store.hits" then Metrics.Down else Metrics.Up
+  let rule name =
+    Some ((if name = "store.hits" then Metrics.Down else Metrics.Up), 0.1)
   in
-  let down = Metrics.drift ~tolerance:0.1 ~direction_of b a in
+  let down = Metrics.drift ~rule b a in
   (* b -> a: runs shrink 104->100 (Up: ignored), hits grow 40->50
      (Down: ignored) *)
   Alcotest.(check bool) "movements against the counted direction pass"
     false
-    (Metrics.has_drift down)
+    (Metrics.has_drift down);
+  (* per-name tolerance, and a name the rule leaves out is not compared *)
+  let rule = function
+    | "verify.runs" -> Some (Metrics.Up, 0.0)
+    | "store.hits" -> None
+    | _ -> Some (Metrics.Both, 0.0)
+  in
+  Alcotest.(check (list string)) "rule picks tolerance and scope"
+    [ "verify.runs" ]
+    (List.map (fun f -> f.Metrics.d_name) (Metrics.drift ~rule a b))
 
 let test_drift_appearance_is_infinite () =
   let a = Metrics.create () and b = Metrics.create () in
   Metrics.add b "fresh" 3;
-  (match Metrics.drift ~tolerance:1e6 a b with
+  (match Metrics.drift ~rule:(fun _ -> Some (Metrics.Both, 1e6)) a b with
   | [ f ] ->
     Alcotest.(check string) "appearing metric reported" "fresh"
       f.Metrics.d_name;

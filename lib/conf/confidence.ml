@@ -32,12 +32,29 @@ end)
    - a verified *value-affecting* implicit dependence p -> t pins p's
      outcome once t's value is fully vouched — which is exactly why
      implicit edges, unlike blind potential edges, are safe to
-     propagate confidence along (§3.2 of the paper). *)
+     propagate confidence along (§3.2 of the paper).
+
+   One solver serves both entry points.  [compute] runs it from the
+   empty state; [refine] continues from a previous solution with more
+   benign marks and implicit edges.  Every rule only intersects alt
+   sets, and each is monotone: a smaller alt set for a consumer allows
+   fewer values for its producers, and a vouched (singleton) target
+   stays vouched.  A previous solution is therefore above the greatest
+   fixpoint of the larger constraint set, every rule it does not
+   satisfy involves a changed instance or a new edge, and continuing
+   the iteration from it reaches exactly that greatest fixpoint. *)
 
 type t = {
-  conf : float array;
+  info : Proginfo.t;
+  profile : Profile.t;
+  trace : Trace.t;
+  ranges : Value.t array option array;
+      (* memo of each instance's value range, shared by refinements *)
+  implicit_preds : int list array;
+      (* implicit_preds.(t) = switched predicates verified to reach t *)
+  benign : Slice.Iset.t;
   alt : Vset.t option array;
-  range_size : int array;
+  conf : float array;
 }
 
 let confidence t idx = t.conf.(idx)
@@ -55,31 +72,26 @@ let value_range profile inst =
     | Value.Vbool _ -> [ Value.Vbool true; Value.Vbool false ]
     | Value.Varr _ | Value.Vunit -> [])
 
-let compute info profile trace ~correct ~benign ~implicit =
+let range t idx =
+  match t.ranges.(idx) with
+  | Some r -> r
+  | None ->
+    let r = Array.of_list (value_range t.profile (Trace.get t.trace idx)) in
+    t.ranges.(idx) <- Some r;
+    r
+
+let vouched alt idx =
+  match alt.(idx) with Some s -> Vset.cardinal s <= 1 | None -> false
+
+(* The fixpoint solver: continue from [prev] (whose own constraints
+   already hold) after adding [correct] outputs, [benign] marks and
+   [implicit] edges.  [prev] is not modified. *)
+let solve prev ~correct ~benign ~implicit =
+  let trace = prev.trace in
   let n = Trace.length trace in
-  let alt = Array.make n None in
-  let ranges = Array.make n [||] in
-  for i = 0 to n - 1 do
-    ranges.(i) <- Array.of_list (value_range profile (Trace.get trace i))
-  done;
-  (* consumers.(d) = instances that read d's principal value, with the
-     cell they read it through *)
-  let consumers = Array.make n [] in
-  Trace.iter
-    (fun inst ->
-      List.iter
-        (fun (cell, def, v) ->
-          if def >= 0 && Value.equal (Trace.get trace def).Trace.value v then
-            consumers.(def) <- (inst.Trace.idx, cell) :: consumers.(def))
-        inst.Trace.uses)
-    trace;
-  (* implicit_preds.(t) = switched predicates verified to reach t *)
-  let implicit_preds = Array.make n [] in
-  List.iter
-    (fun (p, t_) ->
-      if p >= 0 && p < n && t_ >= 0 && t_ < n then
-        implicit_preds.(t_) <- p :: implicit_preds.(t_))
-    implicit;
+  let alt = Array.copy prev.alt in
+  let implicit_preds = Array.copy prev.implicit_preds in
+  let touched = ref [] in
   let queue = Queue.create () in
   let constrain idx set =
     let next =
@@ -92,6 +104,7 @@ let compute info profile trace ~correct ~benign ~implicit =
     in
     if changed then begin
       alt.(idx) <- Some next;
+      touched := idx :: !touched;
       Queue.add idx queue
     end
   in
@@ -100,6 +113,15 @@ let compute info profile trace ~correct ~benign ~implicit =
     | Some b -> constrain idx (Vset.singleton (Value.Vbool b))
     | None -> ()
   in
+  (* A new edge into an already vouched target pins its predicate now:
+     the target will not be dequeued again unless its alt set shrinks. *)
+  List.iter
+    (fun (p, t_) ->
+      if p >= 0 && p < n && t_ >= 0 && t_ < n then begin
+        implicit_preds.(t_) <- p :: implicit_preds.(t_);
+        if vouched alt t_ then pin_outcome p
+      end)
+    implicit;
   let observed idx = (Trace.get trace idx).Trace.value in
   List.iter
     (fun o ->
@@ -122,17 +144,17 @@ let compute info profile trace ~correct ~benign ~implicit =
      marks lets constraint cascades assign confidence 1 to the very
      predicates the demand-driven search must expand (observed on the
      gzip decoder fault). *)
+  let benign = List.filter (fun b -> b >= 0 && b < n) benign in
   List.iter
     (fun b ->
-      if b >= 0 && b < n then
-        match observed b with
-        | (Value.Vint _ | Value.Vbool _) as v -> constrain b (Vset.singleton v)
-        | Value.Varr _ | Value.Vunit -> pin_outcome b)
+      match observed b with
+      | (Value.Vint _ | Value.Vbool _) as v -> constrain b (Vset.singleton v)
+      | Value.Varr _ | Value.Vunit -> pin_outcome b)
     benign;
   (* Fixpoint. *)
   let accepts u cell v' =
     let inst = Trace.get trace u in
-    let stmt = Proginfo.stmt_of_sid info inst.Trace.sid in
+    let stmt = Proginfo.stmt_of_sid prev.info inst.Trace.sid in
     match Reval.run stmt inst ~cell ~value:v' with
     | Reval.Unknown -> true
     | Reval.Rejected -> false
@@ -144,16 +166,24 @@ let compute info profile trace ~correct ~benign ~implicit =
     (* Only an instance whose value is fully vouched for (singleton alt)
        pins the predicates it was verified to implicitly depend on; a
        weak constraint certifies nothing about branch outcomes. *)
-    let vouched =
-      match alt.(u) with Some s -> Vset.cardinal s <= 1 | None -> false
-    in
-    if vouched then List.iter (fun p -> pin_outcome p) implicit_preds.(u);
+    if vouched alt u then List.iter pin_outcome implicit_preds.(u);
     let inst = Trace.get trace u in
     List.iter
       (fun (cell, def, v) ->
         if def >= 0 && Value.equal (Trace.get trace def).Trace.value v then begin
+          (* Only values [def] may still take survive the
+             intersection.  Its alt set lies inside its range plus its
+             observed value [v]: every seed is an observed value or
+             outcome, and every constraint is drawn from the range
+             plus [v].  So once constrained, the alt set is the
+             candidate list. *)
+          let candidates =
+            match alt.(def) with
+            | Some cur -> Vset.elements cur
+            | None -> Array.to_list (range prev def)
+          in
           let allowed =
-            Array.to_list ranges.(def)
+            candidates
             |> List.filter (fun v' -> accepts u cell v')
             |> Vset.of_list
           in
@@ -163,26 +193,51 @@ let compute info profile trace ~correct ~benign ~implicit =
         end)
       inst.Trace.uses
   done;
-  (* Confidence values. *)
-  let conf = Array.make n 0.0 in
-  let benign_set = List.fold_left (fun s b -> Slice.Iset.add b s) Slice.Iset.empty benign in
-  for i = 0 to n - 1 do
-    let c =
-      if Slice.Iset.mem i benign_set then 1.0
-      else
-        match alt.(i) with
-        | None -> 0.0
-        | Some s ->
-          let k = Vset.cardinal s in
-          let r = max (Array.length ranges.(i)) k in
-          if k <= 1 then 1.0
-          else if r <= 1 then 1.0
-          else max 0.0 (1.0 -. (log (float_of_int k) /. log (float_of_int r)))
-    in
-    conf.(i) <- c
-  done;
-  {
-    conf;
-    alt;
-    range_size = Array.map Array.length ranges;
-  }
+  (* Confidence values, for the instances whose inputs changed. *)
+  let t =
+    {
+      prev with
+      implicit_preds;
+      benign =
+        List.fold_left (fun s b -> Slice.Iset.add b s) prev.benign benign;
+      alt;
+      conf = Array.copy prev.conf;
+    }
+  in
+  let update i =
+    t.conf.(i) <-
+      (if Slice.Iset.mem i t.benign then 1.0
+       else
+         match alt.(i) with
+         | None -> 0.0
+         | Some s ->
+           let k = Vset.cardinal s in
+           if k <= 1 then 1.0
+           else
+             let r = max (Array.length (range t i)) k in
+             if r <= 1 then 1.0
+             else
+               max 0.0
+                 (1.0 -. (log (float_of_int k) /. log (float_of_int r))))
+  in
+  List.iter update !touched;
+  List.iter update benign;
+  t
+
+let compute info profile trace ~correct ~benign ~implicit =
+  let n = Trace.length trace in
+  let empty =
+    {
+      info;
+      profile;
+      trace;
+      ranges = Array.make n None;
+      implicit_preds = Array.make n [];
+      benign = Slice.Iset.empty;
+      alt = Array.make n None;
+      conf = Array.make n 0.0;
+    }
+  in
+  solve empty ~correct ~benign ~implicit
+
+let refine prev ~benign ~implicit = solve prev ~correct:[] ~benign ~implicit

@@ -26,5 +26,13 @@ val compute :
   implicit:(int * int) list ->
   t
 
+(** [refine prev ~benign ~implicit] is [compute] over [prev]'s benign
+    marks and implicit edges plus [benign] and [implicit], warm-started
+    from [prev]: only the new marks, and the new edges whose target
+    [prev] already vouches for, seed the worklist.  Alt sets and
+    confidence values are identical to the from-scratch [compute] over
+    the union.  [prev] is unchanged. *)
+val refine : t -> benign:int list -> implicit:(int * int) list -> t
+
 val confidence : t -> int -> float
 val alt_set : t -> int -> Vset.t option

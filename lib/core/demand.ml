@@ -90,6 +90,36 @@ let dedup_by_sid ~per_sid trace candidates =
     by_sid []
   |> List.sort compare
 
+(* PD(t) depends on the trace alone, so one localization asks
+   {!Relevant.pd} once per instance and reuses the answer. *)
+type pd_memo = {
+  rel : Relevant.t;
+  table : int list option array;
+  mutable computed : int;
+  mutable reused : int;
+}
+
+let pd_memo rel trace =
+  {
+    rel;
+    table = Array.make (Trace.length trace) None;
+    computed = 0;
+    reused = 0;
+  }
+
+let memo_pd m t =
+  match m.table.(t) with
+  | Some r ->
+    m.reused <- m.reused + 1;
+    r
+  | None ->
+    let r = Relevant.pd m.rel t in
+    m.table.(t) <- Some r;
+    m.computed <- m.computed + 1;
+    r
+
+let pd_memo_counts m = (m.computed, m.reused)
+
 let locate ?(config = default_config) ?pool (s : Session.t) ~oracle
     ~root_sids =
   let trace = s.Session.trace in
@@ -170,32 +200,79 @@ let locate ?(config = default_config) ?pool (s : Session.t) ~oracle
      flushed per event; [sync] adds the fsync).  No-op without an
      attached journal. *)
   let durable () = match ledger with Some l -> Ledger.sync l | None -> () in
-  (* (switched predicate, target, value_affected): all edges extend the
-     dependence graph; only value-affecting ones may pin predicates
-     during confidence propagation (see Verify). *)
+  (* (switched predicate, target, value_affected), newest first: all
+     edges extend the dependence graph; only value-affecting ones may
+     pin predicates during confidence propagation (see Verify).
+     [preds_of] indexes the same edges by target, newest first, so
+     [extra] lists exactly what a filter over [implicit] would. *)
   let implicit = ref [] in
-  let extra idx =
-    List.filter_map
-      (fun (p, t, _) -> if t = idx then Some p else None)
-      !implicit
+  let edges_added = ref 0 in
+  let preds_of = Hashtbl.create 64 in
+  let extra idx = Option.value ~default:[] (Hashtbl.find_opt preds_of idx) in
+  let add_edge p t affected =
+    implicit := (p, t, affected) :: !implicit;
+    Hashtbl.replace preds_of t (p :: extra t);
+    incr edges_added
   in
-  let pinning_edges () =
-    List.filter_map
-      (fun (p, t, affected) -> if affected then Some (p, t) else None)
-      !implicit
-  in
+  (* the first [k] elements of a newest-first list: what was added
+     since it was [k] shorter *)
+  let newest k l = List.filteri (fun i _ -> i < k) l in
+  let edges_since seen = newest (!edges_added - seen) !implicit in
   let all_edges () = List.map (fun (p, t, _) -> (p, t)) !implicit in
   let benign = ref [] in
   let user_prunings = ref 0 in
   let expanded = Hashtbl.create 16 in
   (* instances already used for expansion *)
   let criterion = s.Session.wrong_output in
-  let slice () = Slice.compute ~extra trace ~criteria:[ criterion ] in
-  let conf () =
-    Confidence.compute s.Session.info s.Session.profile trace
-      ~correct:s.Session.correct_outputs ~benign:!benign
-      ~implicit:(pinning_edges ())
+  (* Analysis state kept across iterations.  Between two uses only edges
+     and benign marks are added, so each kept value is brought up to
+     date from the additions alone: a slice is extended from the new
+     edges whose target it holds ({!Slice.extend}), the confidence
+     fixpoint is warm-started ({!Confidence.refine}).  Both equal the
+     from-scratch computation over everything added so far. *)
+  let kept_slice criteria =
+    let sl = ref None and seen = ref 0 in
+    fun () ->
+      let current =
+        match !sl with
+        | None -> Slice.compute ~extra trace ~criteria
+        | Some sl ->
+          Slice.extend ~extra trace sl
+            ~edges:(List.map (fun (p, t, _) -> (p, t)) (edges_since !seen))
+      in
+      sl := Some current;
+      seen := !edges_added;
+      current
   in
+  let slice = kept_slice [ criterion ] in
+  let correct_slice = kept_slice s.Session.correct_outputs in
+  let conf_solves = ref 0 and conf_refines = ref 0 in
+  let conf =
+    let state = ref None and benign_seen = ref 0 and edges_seen = ref 0 in
+    fun () ->
+      let marks = newest (List.length !benign - !benign_seen) !benign in
+      let pinning =
+        List.filter_map
+          (fun (p, t, affected) -> if affected then Some (p, t) else None)
+          (edges_since !edges_seen)
+      in
+      benign_seen := List.length !benign;
+      edges_seen := !edges_added;
+      let current =
+        match !state with
+        | None ->
+          incr conf_solves;
+          Confidence.compute s.Session.info s.Session.profile trace
+            ~correct:s.Session.correct_outputs ~benign:marks ~implicit:pinning
+        | Some c when marks = [] && pinning = [] -> c
+        | Some c ->
+          incr conf_refines;
+          Confidence.refine c ~benign:marks ~implicit:pinning
+      in
+      state := Some current;
+      current
+  in
+  let pds = pd_memo s.Session.rel trace in
   let pruned () =
     Prune.compute ~extra trace ~slice:(slice ()) ~conf:(conf ()) ~criterion
   in
@@ -225,16 +302,18 @@ let locate ?(config = default_config) ?pool (s : Session.t) ~oracle
      dependences (one batch), add the verified (strong) implicit edges —
      strong edges override plain ones (Algorithm 2 lines 10-11).
      Returns whether any edge was added. *)
-  let edges_added = ref 0 in
   let iterations = ref 0 in
   let expand u =
     Hashtbl.replace expanded u ();
     (* PD(u), minus anything already explicitly reaching u (Definition 2
-       requires no explicit dependence path) *)
-    let u_slice = Slice.compute ~extra trace ~criteria:[ u ] in
+       requires no explicit dependence path); an empty PD(u) needs no
+       slice of u *)
     let pd =
-      Relevant.pd s.Session.rel u
-      |> List.filter (fun p -> not (Slice.mem u_slice p))
+      (match memo_pd pds u with
+      | [] -> []
+      | cands ->
+        let u_slice = Slice.compute ~extra trace ~criteria:[ u ] in
+        List.filter (fun p -> not (Slice.mem u_slice p)) cands)
       |> dedup_by_sid ~per_sid:config.max_instances_per_pred trace
     in
     (match ledger with
@@ -299,10 +378,9 @@ let locate ?(config = default_config) ?pool (s : Session.t) ~oracle
     in
     List.iter
       (fun (p, (r : Verdict.result)) ->
-        implicit := (p, u, r.Verdict.value_affected) :: !implicit;
+        add_edge p u r.Verdict.value_affected;
         record_edge ~p ~t:u ~value_affected:r.Verdict.value_affected
           ~related:false;
-        incr edges_added;
         (* Verify the other uses potentially depending on p, enabling
            more pruning (Figure 5): targets come from both the failure's
            and the correct outputs' slices — the latter are the ones
@@ -310,13 +388,10 @@ let locate ?(config = default_config) ?pool (s : Session.t) ~oracle
            (slices, PD membership, the bound) happens before the batch
            and depends only on edges added so far, so batching the
            verifications is exactly the sequential loop. *)
-        let correct_slice =
-          Slice.compute ~extra trace ~criteria:s.Session.correct_outputs
-        in
         let targets =
           Slice.Iset.union
             (Slice.members (slice ()))
-            (Slice.members correct_slice)
+            (Slice.members (correct_slice ()))
           |> Slice.Iset.elements
           |> List.filter (fun t -> t <> u && t > p)
         in
@@ -325,8 +400,7 @@ let locate ?(config = default_config) ?pool (s : Session.t) ~oracle
         List.iter
           (fun t ->
             if !related < config.max_related_targets then begin
-              let pd_t = Relevant.pd s.Session.rel t in
-              if List.mem p pd_t then begin
+              if List.mem p (memo_pd pds t) then begin
                 incr related;
                 selected := t :: !selected
               end
@@ -337,10 +411,9 @@ let locate ?(config = default_config) ?pool (s : Session.t) ~oracle
         List.iter2
           (fun t (rt : Verdict.result) ->
             if rt.Verdict.verdict = wanted then begin
-              implicit := (p, t, rt.Verdict.value_affected) :: !implicit;
+              add_edge p t rt.Verdict.value_affected;
               record_edge ~p ~t ~value_affected:rt.Verdict.value_affected
-                ~related:true;
-              incr edges_added
+                ~related:true
             end)
           ts rts)
       chosen;
@@ -426,6 +499,10 @@ let locate ?(config = default_config) ?pool (s : Session.t) ~oracle
   sync "demand.expanded_edges" !edges_added;
   sync "demand.user_prunings" !user_prunings;
   sync "demand.benign" (List.length !benign);
+  sync "demand.confidence_solves" !conf_solves;
+  sync "demand.confidence_refines" !conf_refines;
+  sync "demand.pd_computed" pds.computed;
+  sync "demand.pd_reused" pds.reused;
   (match ledger with
   | Some l ->
     Ledger.final l ~found:!found ~iterations:!iterations ~edges:!edges_added

@@ -66,6 +66,21 @@ type config = {
     no mined prior). *)
 val default_config : config
 
+(** PD memo of one localization: {!Exom_ddg.Relevant.pd} is asked once
+    per instance and its answer reused.  [locate] keeps one per call and
+    syncs its counts into the session registry as [demand.pd_computed]
+    and [demand.pd_reused]. *)
+type pd_memo
+
+val pd_memo : Exom_ddg.Relevant.t -> Exom_interp.Trace.t -> pd_memo
+
+(** [memo_pd m t] = [Relevant.pd rel t]. *)
+val memo_pd : pd_memo -> int -> int list
+
+(** [(computed, reused)]: lookups answered by {!Exom_ddg.Relevant.pd}
+    and by the memo. *)
+val pd_memo_counts : pd_memo -> int * int
+
 (** [locate s ~oracle ~root_sids]: run the procedure; [root_sids] is the
     seeded fault's ground truth, used — as in the paper's evaluation —
     only to decide that the error has been located.  [pool] supplies the

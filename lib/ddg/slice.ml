@@ -25,26 +25,33 @@ let explicit_preds trace idx =
   in
   if inst.Trace.parent >= 0 then inst.Trace.parent :: data else data
 
-(* Backward transitive closure from [criteria] over explicit dependences
-   plus any [extra] predecessor edges (used for implicit/potential
-   dependence edges by the callers). *)
-let compute ?(extra = fun _ -> []) trace ~criteria =
-  let members = ref Iset.empty in
+(* [t] plus the backward transitive closure from [roots] over explicit
+   dependences plus any [extra] predecessor edges (used for
+   implicit/potential dependence edges by the callers). *)
+let close ~extra trace t roots =
+  let members = ref t.members and sids = ref t.sids in
   let rec visit idx =
     if idx >= 0 && (not (Iset.mem idx !members)) && idx < Trace.length trace
     then begin
       members := Iset.add idx !members;
+      sids := Iset.add (Trace.get trace idx).Trace.sid !sids;
       List.iter visit (explicit_preds trace idx);
       List.iter visit (extra idx)
     end
   in
-  List.iter visit criteria;
-  let sids =
-    Iset.fold
-      (fun idx acc -> Iset.add (Trace.get trace idx).Trace.sid acc)
-      !members Iset.empty
-  in
-  { members = !members; sids }
+  List.iter visit roots;
+  { members = !members; sids = !sids }
+
+let compute ?(extra = fun _ -> []) trace ~criteria =
+  close ~extra trace { members = Iset.empty; sids = Iset.empty } criteria
+
+(* A path to the criteria takes only old edges after its last new edge
+   p -> t, so t is already in the old slice.  Closing the old slice
+   from the sources of the new edges whose target it holds, over all
+   edges, therefore gives the slice of the grown graph. *)
+let extend ?(extra = fun _ -> []) trace t ~edges =
+  close ~extra trace t
+    (List.filter_map (fun (p, t_) -> if mem t t_ then Some p else None) edges)
 
 let of_instances trace idxs =
   let members = Iset.of_list (List.filter (fun i -> i >= 0) idxs) in

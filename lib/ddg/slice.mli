@@ -18,6 +18,17 @@ val compute :
   criteria:int list ->
   t
 
+(** [extend ?extra trace t ~edges]: [t] grown by the predecessor edges
+    [(p, target)] added to the graph since [t] was computed.  [extra]
+    must already include [edges]; the result equals {!compute} with it
+    over [t]'s criteria. *)
+val extend :
+  ?extra:(int -> int list) ->
+  Exom_interp.Trace.t ->
+  t ->
+  edges:(int * int) list ->
+  t
+
 (** A slice-shaped value from an explicit instance set (negative indices
     are ignored). *)
 val of_instances : Exom_interp.Trace.t -> int list -> t

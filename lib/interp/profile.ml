@@ -50,6 +50,4 @@ let range t sid ~observed =
   | Value.Vint n -> Iset.elements (Iset.add n base)
   | Value.Vbool _ | Value.Varr _ | Value.Vunit -> Iset.elements base
 
-let range_size t sid ~observed = List.length (range t sid ~observed)
-
 let runs t = t.runs

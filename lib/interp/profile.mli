@@ -19,5 +19,4 @@ val collect : Exom_lang.Ast.program -> int list list -> t
     in the failing run) always included.  Sorted, duplicate-free. *)
 val range : t -> int -> observed:Value.t -> int list
 
-val range_size : t -> int -> observed:Value.t -> int
 val runs : t -> int

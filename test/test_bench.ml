@@ -7,6 +7,8 @@ module Runner = Exom_bench.Runner
 module Suite = Exom_bench.Suite
 module Demand = Exom_core.Demand
 module Interp = Exom_interp.Interp
+module Ledger = Exom_ledger.Ledger
+module Pool = Exom_sched.Pool
 module Typecheck = Exom_lang.Typecheck
 
 let find_bench name =
@@ -390,6 +392,48 @@ let test_chaos_free_runs_report_clean () =
   Alcotest.(check int) "accounted" r.Runner.report.Demand.verifications
     (g.G.completed + g.G.aborted)
 
+(* MD5 of each suite fault's canonical ledger, the bytes [exom bench B F
+   --ledger-out] writes, as the from-scratch analysis produced it.  The
+   ledger holds every slice snapshot with its confidence values and
+   distances, every verification and every edge, so an analysis
+   shortcut that moves any of them fails here, at any job count. *)
+let pinned_ledgers =
+  [
+    ("flexsim", "V1-F9", "b0ec47d7c191ba0a25d60c65b8871540");
+    ("flexsim", "V2-F14", "b9bcd7476ddf9fea24132519674d4c69");
+    ("flexsim", "V3-F10", "93185891a50398851f94fc1d9b676f24");
+    ("flexsim", "V4-F6", "99ace0bba3c59b612042b1404d71c909");
+    ("flexsim", "V5-F6", "e0e892a06b6139c7d0432511393a4e8f");
+    ("grepsim", "V4-F2", "1c747b2cd637d5c5057bc6543b382154");
+    ("grepsim", "V5-F1", "e09860eea3766787d828109ec45e1b90");
+    ("grepsim", "V4-F5", "c114aea3b77ef4c5ab9142d395ac3566");
+    ("gzipsim", "V2-F3", "b00484a429c1f88f29d85ebdbe91771f");
+    ("gzipsim", "V2-F9", "f067a00d42ded56f134ffd06363a0c1f");
+    ("gzipsim", "V2-F7", "1616c3ed344f77dd20fc8b4f92e05806");
+    ("sedsim", "V3-F2", "2c9dcb990d930765980dad58bd3a84a7");
+    ("sedsim", "V3-F3", "b716fe805e3ef2765c5d96c7093f47d0");
+  ]
+
+let test_ledgers_pinned () =
+  List.iter
+    (fun jobs ->
+      let pool = Pool.create ~jobs () in
+      Fun.protect
+        ~finally:(fun () -> Pool.shutdown pool)
+        (fun () ->
+          List.iter
+            (fun (name, fid, md5) ->
+              let ledger = Ledger.create () in
+              ignore
+                (Runner.run_fault ~pool ~ledger (find_bench name)
+                   (find_fault (find_bench name) fid));
+              Alcotest.(check string)
+                (Printf.sprintf "%s %s ledger at -j%d" name fid jobs)
+                md5
+                (Digest.to_hex (Digest.string (Ledger.to_string ledger))))
+            pinned_ledgers))
+    [ 1; 2 ]
+
 let test_sed_cascade_two_edges () =
   (* the two-deep omission cascade needs exactly two expansions along
      strong implicit dependence edges (the paper's sed V3-F2 row) *)
@@ -707,7 +751,8 @@ let () =
           slow "flex V5-F6" test_locate_flex;
           slow "grep V4-F2 (hardest)" test_locate_grep;
           slow "sed cascade needs 2 edges" test_sed_cascade_two_edges;
-          slow "gzip at scale (35k instances)" test_scale_gzip ] );
+          slow "gzip at scale (35k instances)" test_scale_gzip;
+          slow "ledgers pinned at -j1, -j2" test_ledgers_pinned ] );
       ( "robustness",
         [ slow "20-seed chaos sweep never raises" test_chaos_sweep_never_raises;
           slow "chaos-free runs report clean" test_chaos_free_runs_report_clean

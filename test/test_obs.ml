@@ -523,14 +523,31 @@ let metric_tree jobs =
   let pool = Pool.create ~jobs () in
   let r = Runner.run_fault ~obs ~pool b f in
   Pool.shutdown pool;
-  (Metrics.render ~timings:false (Obs.metrics obs), r)
+  (Obs.metrics obs, r)
 
 let test_metric_tree_determinism () =
-  let t1, r1 = metric_tree 1 in
-  let t4, r4 = metric_tree 4 in
+  let m1, r1 = metric_tree 1 in
+  let m4, r4 = metric_tree 4 in
   Alcotest.(check bool) "both locate" true
     (r1.Runner.report.Demand.found && r4.Runner.report.Demand.found);
-  Alcotest.(check string) "metric trees identical at -j1 and -j4" t1 t4
+  Alcotest.(check string) "metric trees identical at -j1 and -j4"
+    (Metrics.render ~timings:false m1)
+    (Metrics.render ~timings:false m4);
+  (* the coordinator's analysis work counters are in the tree: one
+     from-scratch confidence solve per localization, warm-started
+     refinements after it, and a PD memo that answers repeats *)
+  let c name = (Metrics.counter_value m1 name, Metrics.counter_value m4 name) in
+  List.iter
+    (fun name ->
+      let v1, v4 = c name in
+      Alcotest.(check int) (name ^ " identical at -j1 and -j4") v1 v4)
+    [ "demand.confidence_solves"; "demand.confidence_refines";
+      "demand.pd_computed"; "demand.pd_reused" ];
+  Alcotest.(check int) "one confidence solve" 1
+    (fst (c "demand.confidence_solves"));
+  Alcotest.(check bool) "refinements and PD lookups counted" true
+    (fst (c "demand.confidence_refines") > 0
+    && fst (c "demand.pd_computed") > 0)
 
 (* Lanes and span ids are assigned on the coordinator in submission
    order, so the whole spine — not just the metric tree — is

@@ -12,7 +12,11 @@
    - aligning an execution against itself is the identity;
    - the tracing and plain interpreter modes agree on outputs, step
      counts and outcome (differential), on generated programs and on
-     every program in examples/programs/. *)
+     every program in examples/programs/;
+   - the coordinator's incremental analyses equal the from-scratch
+     functions they stand in for: a chain of confidence refinements,
+     slice extensions and the PD memo (differential, random benign and
+     edge increments). *)
 
 module Pretty = Exom_lang.Pretty
 module Typecheck = Exom_lang.Typecheck
@@ -23,6 +27,12 @@ module Align = Exom_align.Align
 module Factory = Exom_corpus.Factory
 module Ast = Exom_lang.Ast
 module Rank = Exom_rank.Rank
+module Proginfo = Exom_cfg.Proginfo
+module Profile = Exom_interp.Profile
+module Confidence = Exom_conf.Confidence
+module Slice = Exom_ddg.Slice
+module Relevant = Exom_ddg.Relevant
+module Demand = Exom_core.Demand
 
 let seed =
   match Sys.getenv_opt "QCHECK_SEED" with
@@ -204,6 +214,136 @@ let prop_ranking_pure =
            (fun (_, sid) -> Rank.score t1 ~sid = Rank.score t3 ~sid)
            candidates)
 
+(* {2 Incremental analyses against their from-scratch oracles} *)
+
+(* A generated program, its failing-run trace, and a stream of analysis
+   increments drawn from the case's own seed once the trace length is
+   known. *)
+let arb_increments =
+  QCheck.make
+    ~print:(fun (case, k) ->
+      Printf.sprintf "%s\n// increments seed: %d" (print_case case) k)
+    QCheck.Gen.(pair gen_program nat)
+
+let pick rand = function
+  | [] -> None
+  | l -> Some (List.nth l (Random.State.int rand (List.length l)))
+
+(* [rounds] increments of (benign marks, implicit edges (p, t)).  Edge
+   sources are predicate instances when there are any — only those can
+   be pinned — and precede their targets, as verified edges do. *)
+let increments rand tr ~rounds =
+  let n = Trace.length tr in
+  let preds =
+    List.filter
+      (fun i -> Trace.is_predicate (Trace.get tr i))
+      (List.init n Fun.id)
+  in
+  let edge () =
+    let t = Random.State.int rand n in
+    let p =
+      match pick rand (List.filter (fun p -> p < t) preds) with
+      | Some p -> p
+      | None -> Random.State.int rand (t + 1)
+    in
+    (p, t)
+  in
+  List.init rounds (fun _ ->
+      ( List.init (Random.State.int rand 4) (fun _ -> Random.State.int rand n),
+        List.init (Random.State.int rand 5) (fun _ -> edge ()) ))
+
+let same_confidence n a b =
+  List.for_all
+    (fun i ->
+      Int64.equal
+        (Int64.bits_of_float (Confidence.confidence a i))
+        (Int64.bits_of_float (Confidence.confidence b i))
+      && Option.equal Confidence.Vset.equal (Confidence.alt_set a i)
+           (Confidence.alt_set b i))
+    (List.init n Fun.id)
+
+let prop_confidence_refine =
+  QCheck.Test.make ~name:"confidence refine = compute over union"
+    ~count:60 arb_increments (fun ((prog, input), k) ->
+      let r = traced prog input in
+      let tr = Option.get r.Interp.trace in
+      let n = Trace.length tr in
+      n = 0
+      ||
+      let rand = Random.State.make [| k |] in
+      let info = Proginfo.build prog in
+      let profile =
+        Profile.collect prog [ input; List.rev input; List.map succ input ]
+      in
+      let correct =
+        List.filter_map
+          (fun (idx, _) -> if Random.State.bool rand then Some idx else None)
+          r.Interp.outputs
+      in
+      let steps = increments rand tr ~rounds:(1 + Random.State.int rand 4) in
+      let compute ~benign ~implicit =
+        Confidence.compute info profile tr ~correct ~benign ~implicit
+      in
+      let start = compute ~benign:[] ~implicit:[] in
+      let chained =
+        List.fold_left
+          (fun c (benign, implicit) -> Confidence.refine c ~benign ~implicit)
+          start steps
+      in
+      let union =
+        compute ~benign:(List.concat_map fst steps)
+          ~implicit:(List.concat_map snd steps)
+      in
+      same_confidence n chained union
+      (* the warm start leaves the state it started from untouched *)
+      && same_confidence n start (compute ~benign:[] ~implicit:[]))
+
+let prop_slice_extend =
+  QCheck.Test.make ~name:"slice extend = compute with all edges" ~count:60
+    arb_increments (fun ((prog, input), k) ->
+      let tr = Option.get (traced prog input).Interp.trace in
+      let n = Trace.length tr in
+      n = 0
+      ||
+      let rand = Random.State.make [| k |] in
+      let criteria = [ n - 1; Random.State.int rand n ] in
+      let steps =
+        List.map snd
+          (increments rand tr ~rounds:(1 + Random.State.int rand 4))
+      in
+      let extra_of edges idx =
+        List.filter_map (fun (p, t) -> if t = idx then Some p else None) edges
+      in
+      let _, extended =
+        List.fold_left
+          (fun (seen, sl) edges ->
+            let seen = edges @ seen in
+            (seen, Slice.extend ~extra:(extra_of seen) tr sl ~edges))
+          ([], Slice.compute tr ~criteria)
+          steps
+      in
+      let oracle =
+        Slice.compute ~extra:(extra_of (List.concat steps)) tr ~criteria
+      in
+      Slice.to_list extended = Slice.to_list oracle
+      && Slice.sids extended = Slice.sids oracle)
+
+let prop_pd_memo =
+  QCheck.Test.make ~name:"PD memo = Relevant.pd" ~count:60 arb_increments
+    (fun ((prog, input), k) ->
+      let tr = Option.get (traced prog input).Interp.trace in
+      let n = Trace.length tr in
+      n = 0
+      ||
+      let rand = Random.State.make [| k |] in
+      let rel = Relevant.create (Proginfo.build prog) tr in
+      let memo = Demand.pd_memo rel tr in
+      let queries = List.init (2 * n) (fun _ -> Random.State.int rand n) in
+      List.for_all (fun t -> Demand.memo_pd memo t = Relevant.pd rel t) queries
+      &&
+      let distinct = List.length (List.sort_uniq compare queries) in
+      Demand.pd_memo_counts memo = (distinct, List.length queries - distinct))
+
 let () =
   let rand = Random.State.make [| seed |] in
   let q t = QCheck_alcotest.to_alcotest ~rand t in
@@ -216,6 +356,9 @@ let () =
           q prop_self_alignment;
           q prop_differential;
           q prop_ranking_pure;
+          q prop_confidence_refine;
+          q prop_slice_extend;
+          q prop_pd_memo;
         ] );
       ("examples", [ Alcotest.test_case "differential" `Quick test_examples_differential ]);
     ]

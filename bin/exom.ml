@@ -1846,31 +1846,20 @@ let corpus_seed_cmd =
                 (fun _ -> Random.State.int st 101 - 50))
         else [ input ]
       in
-      let validated =
-        List.find_map
-          (fun (c, sid) ->
-            match Seeder.apply prog c sid with
-            | None -> None
-            | Some faulty ->
-              List.find_opt
-                (fun input -> Seeder.validates ~correct:prog ~faulty ~input)
-                inputs
-              |> Option.map (fun input -> (c, sid, faulty, input)))
-          sites
-      in
-      match validated with
+      match Seeder.search ~prog ~sites ~inputs with
       | None ->
         Printf.eprintf
           "no validated omission fault at the requested sites (%d candidates)\n"
           (List.length sites);
         1
-      | Some (c, sid, faulty, input) ->
+      | Some sd ->
         (* the emitted faulty.mc is the pretty-printed mutant, so the
            recorded root line must use its numbering, not the input
            file's (sids survive the reparse: mutations preserve
            statement order and count) *)
-        let line = line_of_sid faulty sid in
-        let faulty_src = Exom_lang.Pretty.program_to_string faulty in
+        let c = sd.Seeder.sd_class and sid = sd.Seeder.sd_sid in
+        let line = sd.Seeder.sd_root_line and input = sd.Seeder.sd_input in
+        let faulty_src = sd.Seeder.sd_faulty_src in
         (match out with
         | Some dir ->
           (try Unix.mkdir dir 0o755

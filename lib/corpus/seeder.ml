@@ -149,6 +149,7 @@ let apply prog cls sid =
 
 type seeded = {
   sd_class : fault_class;
+  sd_sid : int;
   sd_root_line : int;
   sd_root_sids : int list;
   sd_correct : Ast.program;
@@ -164,43 +165,74 @@ type seeded = {
    it decides which faults enter the corpus. *)
 let validation_budget = 50_000
 
-let validates ~correct ~faulty ~input =
-  let rc = Interp.run ~budget:validation_budget correct ~input in
-  let rf = Interp.run ~budget:validation_budget faulty ~input in
-  match (rc.Interp.outcome, rf.Interp.outcome) with
-  | Ok (), Ok () -> (
-    let expected = Interp.output_values rc in
-    match Session.classify_outputs ~outputs:rf.Interp.outputs ~expected with
-    | exception Session.No_failure -> false
-    | _ -> (
-      match (rc.Interp.trace, rf.Interp.trace) with
-      | Some tc, Some tf ->
-        (* true omission: some statement ran strictly fewer times *)
-        let omitted = ref false in
-        Hashtbl.iter
-          (fun sid _ ->
-            if Trace.occurrences tf sid < Trace.occurrences tc sid then
-              omitted := true)
-          (Ast.stmt_table correct);
-        (* aligned anchor: the first divergent output position must be
-           produced by the {e same} print statement in both runs, with
-           a different value.  A purely positional shift (the faulty
-           stream missing prints, so position k holds some unrelated
-           print) anchors the search at an instance with no potential
-           dependence on the root — unlocatable by construction, and
-           exactly the manifestation the paper's technique does not
-           claim.  Requiring a same-statement value divergence is the
-           technique's applicability condition. *)
-        let rec anchor_aligned fo co =
-          match (fo, co) with
-          | (fi, fv) :: frest, (ci, cv) :: crest ->
-            if fv = cv then anchor_aligned frest crest
-            else (Trace.get tf fi).Trace.sid = (Trace.get tc ci).Trace.sid
-          | _ -> false
-        in
-        !omitted && anchor_aligned rf.Interp.outputs rc.Interp.outputs
-      | _ -> false))
+(* The correct program's traced validation run on one input.  A site
+   search checks many mutants against the same few inputs, so each
+   input's reference run is forced at most once and shared. *)
+type reference = { ref_input : int list; ref_run : Interp.run Lazy.t }
+
+let reference correct input =
+  {
+    ref_input = input;
+    ref_run = lazy (Interp.run ~budget:validation_budget correct ~input);
+  }
+
+(* The two checks that need traces: some statement runs strictly fewer
+   times in the faulty run [rf] than in the correct run [rc], and the
+   first divergent output is anchored at the same print statement. *)
+let omits_at_aligned_anchor ~correct (rc : Interp.run) (rf : Interp.run) =
+  match (rc.Interp.trace, rf.Interp.trace) with
+  | Some tc, Some tf ->
+    let omitted = ref false in
+    Hashtbl.iter
+      (fun sid _ ->
+        if Trace.occurrences tf sid < Trace.occurrences tc sid then
+          omitted := true)
+      (Ast.stmt_table correct);
+    (* aligned anchor: the first divergent output position must be
+       produced by the {e same} print statement in both runs, with a
+       different value.  A purely positional shift (the faulty stream
+       missing prints, so position k holds some unrelated print)
+       anchors the search at an instance with no potential dependence
+       on the root — unlocatable by construction, and exactly the
+       manifestation the paper's technique does not claim.  Requiring
+       a same-statement value divergence is the technique's
+       applicability condition. *)
+    let rec anchor_aligned fo co =
+      match (fo, co) with
+      | (fi, fv) :: frest, (ci, cv) :: crest ->
+        if fv = cv then anchor_aligned frest crest
+        else (Trace.get tf fi).Trace.sid = (Trace.get tc ci).Trace.sid
+      | _ -> false
+    in
+    !omitted && anchor_aligned rf.Interp.outputs rc.Interp.outputs
   | _ -> false
+
+(* Most candidates fail, and most failures are budget-exhausting
+   mutants, so the checks run cheapest first: an untraced faulty run
+   settles termination and output divergence, and only a survivor is
+   re-run traced for the omission and anchor checks.  Tracing never
+   changes a run's outcome, step count or output values, so the
+   pre-check rejects exactly the candidates the traced checks would. *)
+let validates_against ~correct ~faulty r =
+  let input = r.ref_input in
+  let run ~tracing =
+    Interp.run ~budget:validation_budget ~tracing faulty ~input
+  in
+  let pre = run ~tracing:false in
+  match pre.Interp.outcome with
+  | Error _ -> false
+  | Ok () -> (
+    let rc = Lazy.force r.ref_run in
+    match rc.Interp.outcome with
+    | Error _ -> false
+    | Ok () -> (
+      let expected = Interp.output_values rc in
+      match Session.classify_outputs ~outputs:pre.Interp.outputs ~expected with
+      | exception Session.No_failure -> false
+      | _ -> omits_at_aligned_anchor ~correct rc (run ~tracing:true)))
+
+let validates ~correct ~faulty ~input =
+  validates_against ~correct ~faulty (reference correct input)
 
 let rotate n xs =
   if xs = [] then []
@@ -223,6 +255,33 @@ let root_of faulty sid =
     faulty;
   (!line, List.rev !sids)
 
+let search ~prog ~sites ~inputs =
+  let refs = List.map (reference prog) inputs in
+  let try_site (cls, sid) =
+    match apply prog cls sid with
+    | None -> None
+    | Some faulty -> (
+      match
+        List.find_opt (validates_against ~correct:prog ~faulty) refs
+      with
+      | None -> None
+      | Some r ->
+        let line, sids = root_of faulty sid in
+        Some
+          {
+            sd_class = cls;
+            sd_sid = sid;
+            sd_root_line = line;
+            sd_root_sids = sids;
+            sd_correct = prog;
+            sd_faulty = faulty;
+            sd_correct_src = Pretty.program_to_string prog;
+            sd_faulty_src = Pretty.program_to_string faulty;
+            sd_input = r.ref_input;
+          })
+  in
+  List.find_map try_site sites
+
 let seed_fault ?(classes = all_classes) ~seed ~prog ~input () =
   let st = Random.State.make [| 0x0fa1; seed |] in
   let candidates =
@@ -240,30 +299,5 @@ let seed_fault ?(classes = all_classes) ~seed ~prog ~input () =
             (8 + Random.State.int st 9)
             (fun _ -> Random.State.int st 101 - 50))
     in
-    let inputs = input :: alternates in
-    let try_site (cls, sid) =
-      match apply prog cls sid with
-      | None -> None
-      | Some faulty -> (
-        match
-          List.find_opt
-            (fun input -> validates ~correct:prog ~faulty ~input)
-            inputs
-        with
-        | None -> None
-        | Some input ->
-          let line, sids = root_of faulty sid in
-          Some
-            {
-              sd_class = cls;
-              sd_root_line = line;
-              sd_root_sids = sids;
-              sd_correct = prog;
-              sd_faulty = faulty;
-              sd_correct_src = Pretty.program_to_string prog;
-              sd_faulty_src = Pretty.program_to_string faulty;
-              sd_input = input;
-            })
-    in
-    List.find_map try_site (rotate rot candidates)
+    search ~prog ~sites:(rotate rot candidates) ~inputs:(input :: alternates)
   end

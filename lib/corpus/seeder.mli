@@ -9,7 +9,8 @@
 
     A candidate fault is kept only when validation shows a {e true
     omission error} on some input: both runs terminate normally, the
-    outputs diverge (so a failure can be anchored), and at least one
+    outputs diverge at an output produced by the same print statement
+    in both runs (so a failure can be anchored), and at least one
     statement executes strictly fewer times in the faulty run — the
     faulty run omits execution the correct run performs. *)
 
@@ -46,6 +47,7 @@ val apply :
 (** A validated seeded fault. *)
 type seeded = {
   sd_class : fault_class;
+  sd_sid : int;  (** the mutated statement *)
   sd_root_line : int;  (** 1-based line of the mutated statement *)
   sd_root_sids : int list;  (** every sid on that line *)
   sd_correct : Exom_lang.Ast.program;
@@ -56,13 +58,39 @@ type seeded = {
 }
 
 (** Does [input] expose [faulty] as a true omission error against
-    [correct]?  (Both terminate, outputs diverge and anchor a failure,
-    and some statement runs strictly fewer times in the faulty run.) *)
+    [correct]?  All four conditions must hold, every run under the
+    same deterministic step budget:
+    + {b termination}: both runs terminate normally (no crash, budget
+      not exhausted);
+    + {b divergence}: {!Exom_core.Session.classify_outputs} finds a
+      failure in the faulty outputs against the correct output values;
+    + {b omission}: some statement runs strictly fewer times in the
+      faulty run than in the correct run;
+    + {b same-statement anchor}: the first divergent output is
+      produced by the same print statement in both runs.
+
+    The checks run in that order, cheapest first.  An untraced faulty
+    run decides termination (the faulty run is checked before the
+    correct one) and divergence, so a rejected candidate is never
+    traced; only a candidate that passes both is re-run traced for the
+    omission and anchor checks.  Tracing does not change a run's
+    outcome, step count or output values, so this order accepts
+    exactly the candidates an all-traced validation accepts. *)
 val validates :
   correct:Exom_lang.Ast.program ->
   faulty:Exom_lang.Ast.program ->
   input:int list ->
   bool
+
+(** [search ~prog ~sites ~inputs] tries [sites] in order, mutating
+    [prog] at each and validating the mutant against [inputs] in
+    order, and returns the first validated fault.  The correct
+    program runs at most once per input for the whole search. *)
+val search :
+  prog:Exom_lang.Ast.program ->
+  sites:(fault_class * int) list ->
+  inputs:int list list ->
+  seeded option
 
 (** [seed_fault ?classes ~seed ~prog ~input ()] tries the candidate
     sites of [prog] in a seed-determined order, validating each against

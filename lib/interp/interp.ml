@@ -32,7 +32,8 @@ exception Abort_exn of abort
 
 let default_budget = 2_000_000
 
-type frame = { fid : int; vars : (string, Value.t) Hashtbl.t }
+(* A local is a mutable slot: one lookup serves a read or a write. *)
+type frame = { fid : int; vars : (string, Value.t ref) Hashtbl.t }
 
 type scope = Gscope | Fscope of frame
 
@@ -45,6 +46,10 @@ type state = {
   mutable input : int list;
   outputs : (int * int) Vec.t;  (* instance idx (-1 when untraced), value *)
   trace : Trace.t option;
+  tracing : bool;  (* [trace <> None], tested per use/def without a compare *)
+  count_occ : bool;
+      (* occurrence numbers are read only by the trace and the switches;
+         an untraced, unswitched run skips [occ_tbl] altogether *)
   def_tbl : (Cell.t, int) Hashtbl.t;  (* cell -> last defining instance *)
   arr_origin : (int, int) Hashtbl.t;  (* array id -> allocating instance *)
   occ_tbl : (int, int) Hashtbl.t;  (* sid -> executions so far *)
@@ -60,7 +65,7 @@ type state = {
 (* Per-statement-instance recording context. *)
 type ictx = {
   idx : int;  (* -1 when tracing is off *)
-  occ : int;
+  occ : int;  (* 0 when occurrences are not counted *)
   mutable uses : (Cell.t * int * Value.t) list;  (* reversed *)
   mutable defs : (Cell.t * Value.t) list;  (* reversed *)
 }
@@ -73,8 +78,16 @@ let reserve st ~sid ~parent =
   (match Chaos.action st.chaos ~step:st.steps with
   | `Continue -> ()
   | `Crash msg -> raise (Abort_exn (Crashed msg)));
-  let occ = 1 + Option.value ~default:0 (Hashtbl.find_opt st.occ_tbl sid) in
-  Hashtbl.replace st.occ_tbl sid occ;
+  let occ =
+    if st.count_occ then begin
+      let occ =
+        1 + Option.value ~default:0 (Hashtbl.find_opt st.occ_tbl sid)
+      in
+      Hashtbl.replace st.occ_tbl sid occ;
+      occ
+    end
+    else 0
+  in
   let idx =
     match st.trace with
     | None -> -1
@@ -90,7 +103,7 @@ let fill st ctx ~kind ~value =
       ~defs:(List.rev ctx.defs) ~value
 
 let record_use st ctx cell value =
-  if st.trace <> None then begin
+  if st.tracing then begin
     let def = Option.value ~default:(-1) (Hashtbl.find_opt st.def_tbl cell) in
     ctx.uses <- (cell, def, value) :: ctx.uses
   end
@@ -99,7 +112,7 @@ let record_use st ctx cell value =
    falls back to the allocating instance when the element was never
    stored to: the value flowed from [new_array]. *)
 let record_elem_use st ctx arr_id index value =
-  if st.trace <> None then begin
+  if st.tracing then begin
     let cell = Cell.Elem (arr_id, index) in
     let def =
       match Hashtbl.find_opt st.def_tbl cell with
@@ -110,36 +123,45 @@ let record_elem_use st ctx arr_id index value =
     ctx.uses <- (cell, def, value) :: ctx.uses
   end
 
-let resolve_scope scope x =
-  match scope with
-  | Fscope f when Hashtbl.mem f.vars x -> `Local f
-  | _ -> `Global
+let use_global st ctx x =
+  match Hashtbl.find_opt st.globals x with
+  | Some v ->
+    record_use st ctx (Cell.Global x) v;
+    v
+  | None -> crash "variable '%s' read before initialization" x
 
-let read_var st scope x =
-  match resolve_scope scope x with
-  | `Local f -> (Cell.Local (f.fid, x), Hashtbl.find f.vars x)
-  | `Global -> (
-    match Hashtbl.find_opt st.globals x with
-    | Some v -> (Cell.Global x, v)
-    | None -> crash "variable '%s' read before initialization" x)
+(* Read variable [x] — a local of the current frame, else a global —
+   and record the use of its cell. *)
+let use_var st ctx scope x =
+  match scope with
+  | Gscope -> use_global st ctx x
+  | Fscope f -> (
+    match Hashtbl.find_opt f.vars x with
+    | Some r ->
+      let v = !r in
+      record_use st ctx (Cell.Local (f.fid, x)) v;
+      v
+    | None -> use_global st ctx x)
 
 let write_cell st ctx cell value =
-  if st.trace <> None then begin
+  if st.tracing then begin
     ctx.defs <- (cell, value) :: ctx.defs;
     Hashtbl.replace st.def_tbl cell ctx.idx
   end
 
+let write_global st ctx x value =
+  Hashtbl.replace st.globals x value;
+  write_cell st ctx (Cell.Global x) value
+
 let write_var st ctx scope x value =
-  let cell =
-    match resolve_scope scope x with
-    | `Local f ->
-      Hashtbl.replace f.vars x value;
-      Cell.Local (f.fid, x)
-    | `Global ->
-      Hashtbl.replace st.globals x value;
-      Cell.Global x
-  in
-  write_cell st ctx cell value
+  match scope with
+  | Gscope -> write_global st ctx x value
+  | Fscope f -> (
+    match Hashtbl.find_opt f.vars x with
+    | Some r ->
+      r := value;
+      write_cell st ctx (Cell.Local (f.fid, x)) value
+    | None -> write_global st ctx x value)
 
 let get_array st id =
   if id < 0 then crash "null array dereference";
@@ -177,13 +199,9 @@ let rec eval st scope ctx expr =
   match expr.Ast.edesc with
   | Ast.Eint n -> Value.Vint n
   | Ast.Ebool b -> Value.Vbool b
-  | Ast.Evar x ->
-    let cell, v = read_var st scope x in
-    record_use st ctx cell v;
-    v
+  | Ast.Evar x -> use_var st ctx scope x
   | Ast.Eindex (a, idx_expr) ->
-    let cell, av = read_var st scope a in
-    record_use st ctx cell av;
+    let av = use_var st ctx scope a in
     let arr = get_array st (Value.as_array av) in
     let i = Value.as_int (eval st scope ctx idx_expr) in
     check_bounds arr i;
@@ -247,7 +265,7 @@ and eval_call st scope ctx fname args =
     let frame = { fid; vars = Hashtbl.create 8 } in
     List.iter2
       (fun (_, x) v ->
-        Hashtbl.replace frame.vars x v;
+        Hashtbl.replace frame.vars x (ref v);
         write_cell st ctx (Cell.Local (fid, x)) v)
       fn.Ast.fparams argv;
     match exec_block st (Fscope frame) ~parent:ctx.idx fn.Ast.fbody with
@@ -311,7 +329,7 @@ and exec_reserved st scope ctx stmt =
         Hashtbl.replace st.globals x v;
         Cell.Global x
       | Fscope f ->
-        Hashtbl.replace f.vars x v;
+        Hashtbl.replace f.vars x (ref v);
         Cell.Local (f.fid, x)
     in
     write_cell st ctx cell v;
@@ -322,8 +340,7 @@ and exec_reserved st scope ctx stmt =
     write_var st ctx scope x v;
     fill st ctx ~kind:Trace.Kassign ~value:v
   | Ast.Sstore (a, idx_expr, e) ->
-    let cell, av = read_var st scope a in
-    record_use st ctx cell av;
+    let av = use_var st ctx scope a in
     let arr = get_array st (Value.as_array av) in
     let i = Value.as_int (eval st scope ctx idx_expr) in
     check_bounds arr i;
@@ -402,6 +419,8 @@ let run_uninstrumented ?switch ?vswitch ?chaos ?(budget = default_budget)
       input;
       outputs = Vec.create ~dummy:(-1, 0);
       trace = (if tracing then Some (Trace.create ()) else None);
+      tracing;
+      count_occ = tracing || switch <> None || vswitch <> None;
       def_tbl = Hashtbl.create 256;
       arr_origin = Hashtbl.create 16;
       occ_tbl = Hashtbl.create 64;

@@ -157,6 +157,177 @@ let test_seeder_deterministic () =
   | None, None -> ()
   | _ -> Alcotest.fail "seed_fault nondeterministic"
 
+(* {3 Differential validation}
+
+   [reference_validates] is the seeder's validation as it stood before
+   the untraced pre-check: both runs traced, every check on the traces.
+   The pre-checked [Seeder.validates] (and the per-input shared correct
+   run behind [Seeder.seed_fault]) must accept exactly what it accepts. *)
+
+module Interp = Exom_interp.Interp
+module Trace = Exom_interp.Trace
+module Session = Exom_core.Session
+
+let reference_budget = 50_000
+
+let reference_validates ~correct ~faulty ~input =
+  let rc = Interp.run ~budget:reference_budget correct ~input in
+  let rf = Interp.run ~budget:reference_budget faulty ~input in
+  match (rc.Interp.outcome, rf.Interp.outcome) with
+  | Ok (), Ok () -> (
+    let expected = Interp.output_values rc in
+    match Session.classify_outputs ~outputs:rf.Interp.outputs ~expected with
+    | exception Session.No_failure -> false
+    | _ -> (
+      match (rc.Interp.trace, rf.Interp.trace) with
+      | Some tc, Some tf ->
+        let omitted = ref false in
+        Hashtbl.iter
+          (fun sid _ ->
+            if Trace.occurrences tf sid < Trace.occurrences tc sid then
+              omitted := true)
+          (Exom_lang.Ast.stmt_table correct);
+        let rec anchor_aligned fo co =
+          match (fo, co) with
+          | (fi, fv) :: frest, (ci, cv) :: crest ->
+            if fv = cv then anchor_aligned frest crest
+            else (Trace.get tf fi).Trace.sid = (Trace.get tc ci).Trace.sid
+          | _ -> false
+        in
+        !omitted && anchor_aligned rf.Interp.outputs rc.Interp.outputs
+      | _ -> false))
+  | _ -> false
+
+(* The candidate inputs [Seeder.seed_fault] searches: the given input,
+   then four alternates drawn right after the site rotation. *)
+let seeder_inputs ~seed ~candidates input =
+  let st = Random.State.make [| 0x0fa1; seed |] in
+  let rot = Random.State.int st (List.length candidates) in
+  let alternates =
+    List.init 4 (fun _ ->
+        List.init
+          (8 + Random.State.int st 9)
+          (fun _ -> Random.State.int st 101 - 50))
+  in
+  (rot, input :: alternates)
+
+let rec rotate n = function
+  | x :: rest when n > 0 -> rotate (n - 1) (rest @ [ x ])
+  | xs -> xs
+
+(* [seed_fault] rebuilt on [reference_validates]: the first (site,
+   input) pair in search order, as (class, sid, input). *)
+let reference_seed_fault ~seed ~prog ~input =
+  let candidates = Seeder.sites prog in
+  if candidates = [] then None
+  else
+    let rot, inputs = seeder_inputs ~seed ~candidates input in
+    List.find_map
+      (fun (cls, sid) ->
+        match Seeder.apply prog cls sid with
+        | None -> None
+        | Some faulty ->
+          List.find_opt
+            (fun input -> reference_validates ~correct:prog ~faulty ~input)
+            inputs
+          |> Option.map (fun input -> (cls, sid, input)))
+      (rotate rot candidates)
+
+let test_seeder_precheck_differential () =
+  let accepted = ref 0 and pairs = ref 0 in
+  for seed = 0 to 5 do
+    let prog, input = Factory.generate ~seed () in
+    let candidates = Seeder.sites prog in
+    if candidates <> [] then begin
+      let _, inputs = seeder_inputs ~seed ~candidates input in
+      List.iter
+        (fun (cls, sid) ->
+          match Seeder.apply prog cls sid with
+          | None -> ()
+          | Some faulty ->
+            List.iter
+              (fun input ->
+                let want = reference_validates ~correct:prog ~faulty ~input in
+                incr pairs;
+                if want then incr accepted;
+                Alcotest.(check bool)
+                  (Printf.sprintf "seed %d, %s at sid %d" seed
+                     (Seeder.class_to_string cls) sid)
+                  want
+                  (Seeder.validates ~correct:prog ~faulty ~input))
+              inputs)
+        candidates
+    end;
+    let got =
+      Seeder.seed_fault ~seed ~prog ~input ()
+      |> Option.map (fun sd ->
+             (sd.Seeder.sd_class, sd.Seeder.sd_sid, sd.Seeder.sd_input))
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "seed %d: seed_fault = reference search" seed)
+      true
+      (got = reference_seed_fault ~seed ~prog ~input)
+  done;
+  (* the sweep must exercise both verdicts *)
+  Alcotest.(check bool) "some pair accepted" true (!accepted > 0);
+  Alcotest.(check bool) "some pair rejected" true (!accepted < !pairs)
+
+(* The pre-check's own rejections: a deleted loop increment spins until
+   the step budget, and a zeroed divisor crashes.  Both mutants print a
+   diverging value at the same print statement and omit the final
+   print, so only the termination check can reject them. *)
+let test_seeder_rejects_nontermination () =
+  let correct =
+    Typecheck.parse_and_check
+      "int d = 1;\n\
+       void main() {\n\
+      \  int n = input();\n\
+      \  int i = 0;\n\
+      \  while (i < n && d >= 0) {\n\
+      \    print(i + d);\n\
+      \    print(100 / (i + d));\n\
+      \    i = i + 1;\n\
+      \  }\n\
+      \  print(n);\n\
+       }\n"
+  in
+  let mutant cls pick =
+    match List.filter (fun (c, _) -> c = cls) (Seeder.sites correct) with
+    | [] -> Alcotest.failf "no %s site" (Seeder.class_to_string cls)
+    | sites -> (
+      let _, sid = pick sites in
+      match Seeder.apply correct cls sid with
+      | Some faulty -> faulty
+      | None -> Alcotest.fail "mutation did not apply")
+  in
+  let last l = List.nth l (List.length l - 1) in
+  let input = [ 5 ] in
+  List.iter
+    (fun (name, faulty, expect) ->
+      let r = Interp.run ~budget:reference_budget ~tracing:false faulty ~input in
+      Alcotest.(check bool)
+        (name ^ ": aborts as expected")
+        true (expect r.Interp.outcome);
+      Alcotest.(check bool)
+        (name ^ ": outputs diverge")
+        true
+        (Interp.output_values r
+        <> Interp.output_values (Interp.run correct ~input));
+      Alcotest.(check bool)
+        (name ^ ": reference rejects") false
+        (reference_validates ~correct ~faulty ~input);
+      Alcotest.(check bool)
+        (name ^ ": rejected") false
+        (Seeder.validates ~correct ~faulty ~input))
+    [
+      ( "loop-increment delete",
+        mutant Seeder.Stmt_delete last,
+        ( = ) (Error Interp.Budget_exhausted) );
+      ( "zeroed divisor",
+        mutant Seeder.Flag_init List.hd,
+        function Error (Interp.Crashed _) -> true | _ -> false );
+    ]
+
 (* {2 Manifest} *)
 
 let gen_manifest ?(count = 6) () = Campaign.generate ~seed:5 ~count ()
@@ -186,6 +357,14 @@ let test_manifest_triples_validate () =
         true
         (Seeder.validates ~correct ~faulty ~input:t.Campaign.t_input))
     m.Campaign.m_triples
+
+(* The benchmark corpus (seed 1, 25 triples) is pinned byte for byte:
+   generation speedups must not change which faults are seeded. *)
+let test_benchmark_manifest_pinned () =
+  let m = Campaign.generate ~seed:1 ~count:25 () in
+  Alcotest.(check string)
+    "seed 1 / 25 manifest MD5" "3975300d2849f1fffc97d75b4c592e07"
+    (Digest.to_hex (Digest.string (Campaign.manifest_to_string m)))
 
 (* {2 Campaign determinism} *)
 
@@ -463,6 +642,10 @@ let () =
           Alcotest.test_case "rejects misaligned anchor" `Quick
             test_seeder_rejects_misaligned_anchor;
           Alcotest.test_case "deterministic" `Quick test_seeder_deterministic;
+          Alcotest.test_case "pre-check agrees with traced reference" `Quick
+            test_seeder_precheck_differential;
+          Alcotest.test_case "rejects budget exhaustion and crashes" `Quick
+            test_seeder_rejects_nontermination;
         ] );
       ( "manifest",
         [
@@ -470,6 +653,8 @@ let () =
             test_manifest_deterministic;
           Alcotest.test_case "triples validate" `Quick
             test_manifest_triples_validate;
+          Alcotest.test_case "benchmark corpus pinned" `Slow
+            test_benchmark_manifest_pinned;
         ] );
       ( "campaign",
         [

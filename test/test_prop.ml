@@ -11,8 +11,9 @@
    - the region tree is a well-formed projection of the trace;
    - aligning an execution against itself is the identity;
    - the tracing and plain interpreter modes agree on outputs, step
-     counts and outcome (differential), on generated programs and on
-     every program in examples/programs/;
+     counts and outcome (differential), on generated programs — also
+     under a tight step budget and a branch switch — and on every
+     program in examples/programs/;
    - the coordinator's incremental analyses equal the from-scratch
      functions they stand in for: a chain of confidence refinements,
      slice extensions and the PD memo (differential, random benign and
@@ -113,17 +114,47 @@ let prop_self_alignment =
       in
       root_ok && from_ok)
 
-let modes_agree prog input =
-  let a = Interp.run ~tracing:true prog ~input in
-  let b = Interp.run ~tracing:false prog ~input in
+let modes_agree ?budget ?switch prog input =
+  let a = Interp.run ?budget ?switch ~tracing:true prog ~input in
+  let b = Interp.run ?budget ?switch ~tracing:false prog ~input in
   Interp.output_values a = Interp.output_values b
   && a.Interp.steps = b.Interp.steps
   && a.Interp.outcome = b.Interp.outcome
   && a.Interp.switch_fired = b.Interp.switch_fired
 
+(* Beyond the unconstrained run, the modes must also agree when a tight
+   budget (a random fraction of the run's steps) cuts both off at the
+   same step, and when a random predicate instance is switched — the
+   untraced run then counts occurrences without a trace to hold them. *)
 let prop_differential =
-  QCheck.Test.make ~name:"tracing and plain modes agree" ~count:80 arb
-    (fun (prog, input) -> modes_agree prog input)
+  QCheck.Test.make ~name:"tracing and plain modes agree" ~count:80
+    QCheck.(triple arb (int_bound 999) (int_bound 999))
+    (fun ((prog, input), frac, pick) ->
+      modes_agree prog input
+      &&
+      let full = traced prog input in
+      let budget = full.Interp.steps * frac / 1000 in
+      let cut = Interp.run ~budget ~tracing:false prog ~input in
+      cut.Interp.outcome = Error Interp.Budget_exhausted
+      && modes_agree ~budget prog input
+      &&
+      let tr = Option.get full.Interp.trace in
+      let preds =
+        List.filter
+          (fun i -> Trace.is_predicate (Trace.get tr i))
+          (List.init (Trace.length tr) Fun.id)
+      in
+      match preds with
+      | [] -> true
+      | _ ->
+        let inst = Trace.get tr (List.nth preds (pick mod List.length preds)) in
+        let switch =
+          { Interp.switch_sid = inst.Trace.sid; switch_occ = inst.Trace.occ }
+        in
+        (* a flipped loop exit may keep a loop spinning: bound the run *)
+        let budget = (10 * full.Interp.steps) + 1000 in
+        let sw = Interp.run ~budget ~switch ~tracing:false prog ~input in
+        sw.Interp.switch_fired && modes_agree ~budget ~switch prog input)
 
 (* {2 Differential check over the example corpus} *)
 

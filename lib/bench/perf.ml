@@ -98,6 +98,11 @@ let run_suite ?config ?(jobs = Pool.default_jobs ()) ?corpus_count () =
       add "suite.queries" report.Demand.verify_queries;
       add "suite.switched_runs" (Metrics.timer_count fault_reg "verify.run");
       add "suite.interp_runs" (Metrics.counter_value fault_reg "interp.runs");
+      (* trace records actually built: switched runs take the failing
+         run's records over below the switch point *)
+      add "suite.built_records"
+        (Metrics.counter_value fault_reg "interp.trace_records"
+        - Metrics.counter_value fault_reg "interp.shared_records");
       verify_seconds :=
         !verify_seconds +. Metrics.timer_seconds fault_reg "verify.run")
     Suite.rows;
@@ -349,6 +354,7 @@ let comparable reg ~other =
 
 let gated_counts =
   [ "suite.queries"; "suite.switched_runs"; "suite.interp_runs";
+    "suite.built_records";
     "store.warm.switched_runs"; "corpus.failed"; "corpus.iterations";
     "corpus.verifications" ]
 

@@ -43,7 +43,9 @@ type mode = Edge_approximation | Path_exact
    exception — is charged to the verify.run timer of the given obs
    shard (worker-local under the scheduler; merged into the session by
    the coordinator), keeping
-   [Guard.stats.completed + aborted = Session.verifications]. *)
+   [Guard.stats.completed + aborted = Session.verifications].  Up to
+   the switch the run is the failing run, so it takes that run's trace
+   records over instead of rebuilding them ({!Interp.run}'s [prefix]). *)
 let switched_run (s : Session.t) wobs ~budget ~p =
   let inst = Trace.get s.Session.trace p in
   let switch =
@@ -51,7 +53,7 @@ let switched_run (s : Session.t) wobs ~budget ~p =
   in
   Obs.timed wobs "verify.run" (fun () ->
       Interp.run ~obs:wobs ~switch ?chaos:s.Session.chaos ~budget
-        s.Session.prog ~input:s.Session.input)
+        ~prefix:s.Session.trace s.Session.prog ~input:s.Session.input)
 
 (* Does some use of [u'] read a definition that lies inside the region
    of the switched predicate [p'] (i.e. executed only because of the

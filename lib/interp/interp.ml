@@ -55,6 +55,11 @@ type state = {
   occ_tbl : (int, int) Hashtbl.t;  (* sid -> executions so far *)
   switch : switch_spec option;
   vswitch : value_switch_spec option;
+  observe : (int -> Trace.ikind -> Value.t -> unit) option;
+  mutable sharing : Trace.t option;
+      (* shared mode: the prefix whose records this run takes over
+         instead of building; [reserve] only advances [next_idx] *)
+  mutable next_idx : int;
   chaos : Chaos.t option;
   mutable chaos_corrupted : bool;  (* Corrupt_value fires once per run *)
   mutable switch_fired : bool;
@@ -65,12 +70,24 @@ type state = {
 (* Per-statement-instance recording context. *)
 type ictx = {
   idx : int;  (* -1 when tracing is off *)
+  sid : int;
   occ : int;  (* 0 when occurrences are not counted *)
   mutable uses : (Cell.t * int * Value.t) list;  (* reversed *)
   mutable defs : (Cell.t * Value.t) list;  (* reversed *)
 }
 
 let crash fmt = Fmt.kstr (fun msg -> raise (Abort_exn (Crashed msg))) fmt
+
+(* Leave shared mode: take over the prefix's first [next_idx] records —
+   every instance reserved so far — and the occurrence counts.  A
+   record still open here (the switched predicate, or a statement whose
+   call is running) is replaced by a fresh one when it is filled. *)
+let end_sharing st =
+  match (st.sharing, st.trace) with
+  | Some prefix, Some tr ->
+    st.sharing <- None;
+    Trace.share_prefix tr ~prefix st.next_idx ~occ:st.occ_tbl
+  | _ -> ()
 
 let reserve st ~sid ~parent =
   st.steps <- st.steps + 1;
@@ -89,18 +106,40 @@ let reserve st ~sid ~parent =
     else 0
   in
   let idx =
-    match st.trace with
-    | None -> -1
-    | Some tr -> Trace.reserve tr ~sid ~occ ~parent
+    match (st.trace, st.sharing) with
+    | None, _ -> -1
+    | Some tr, None -> Trace.reserve tr ~sid ~occ ~parent
+    | Some tr, Some prefix ->
+      let idx = st.next_idx in
+      if idx < Trace.length prefix then begin
+        st.next_idx <- idx + 1;
+        idx
+      end
+      else begin
+        end_sharing st;
+        Trace.reserve tr ~sid ~occ ~parent
+      end
   in
-  { idx; occ; uses = []; defs = [] }
+  { idx; sid; occ; uses = []; defs = [] }
 
 let fill st ctx ~kind ~value =
-  match st.trace with
-  | None -> ()
-  | Some tr ->
+  (match st.observe with None -> () | Some f -> f ctx.sid kind value);
+  match (st.trace, st.sharing) with
+  | Some tr, None ->
     Trace.fill tr ctx.idx ~kind ~uses:(List.rev ctx.uses)
       ~defs:(List.rev ctx.defs) ~value
+  | _ -> ()
+
+(* An abort inside a loop condition (a call in it crashed or ran out of
+   budget) leaves the predicate instance reserved but unfilled.  Its
+   slot may hold a shared record of the prefix, where the condition
+   completed: put back the empty record a traced run leaves. *)
+let unfilled st ctx =
+  match st.trace with
+  | Some tr ->
+    Trace.fill tr ctx.idx ~kind:Trace.Kother ~uses:[] ~defs:[]
+      ~value:Value.Vunit
+  | None -> ()
 
 let record_use st ctx cell value =
   if st.tracing then begin
@@ -290,7 +329,13 @@ and exec_stmt st scope ~parent stmt =
        (Definition 3 / Figure 2 of the paper). *)
     let rec iterate pred_parent =
       let pctx = reserve st ~sid ~parent:pred_parent in
-      let b = Value.as_bool (eval st scope pctx cond) in
+      let b =
+        try Value.as_bool (eval st scope pctx cond)
+        with Abort_exn _ as e ->
+          end_sharing st;
+          unfilled st pctx;
+          raise e
+      in
       let b = maybe_switch st pctx sid b in
       fill st pctx ~kind:(Trace.Kpredicate b) ~value:(Value.Vbool b);
       if b then begin
@@ -309,6 +354,7 @@ and exec_simple_stmt st scope ~parent stmt =
      point can anchor slicing (crash-failure sessions). *)
   try exec_reserved st scope ctx stmt
   with Abort_exn _ as e ->
+    end_sharing st;
     fill st ctx ~kind:Trace.Kother ~value:Value.Vunit;
     raise e
 
@@ -384,6 +430,7 @@ and maybe_switch st ctx sid outcome =
   | Some { switch_sid; switch_occ }
     when switch_sid = sid && switch_occ = ctx.occ ->
     st.switch_fired <- true;
+    end_sharing st;
     not outcome
   | _ -> outcome
 
@@ -401,11 +448,14 @@ and maybe_value_switch st ctx sid value =
   | Some { vswitch_sid; vswitch_occ; vswitch_value }
     when vswitch_sid = sid && vswitch_occ = ctx.occ ->
     st.switch_fired <- true;
+    end_sharing st;
     vswitch_value
   | _ -> value
 
+(* Returns the run and the number of records it took over from
+   [prefix]. *)
 let run_uninstrumented ?switch ?vswitch ?chaos ?(budget = default_budget)
-    ?(tracing = true) prog ~input =
+    ?(tracing = true) ?prefix ?observe prog ~input =
   let funcs = Hashtbl.create 16 in
   List.iter (fun fn -> Hashtbl.replace funcs fn.Ast.fname fn) prog.Ast.funcs;
   let budget = Chaos.budget_cap chaos budget in
@@ -426,6 +476,11 @@ let run_uninstrumented ?switch ?vswitch ?chaos ?(budget = default_budget)
       occ_tbl = Hashtbl.create 64;
       switch;
       vswitch;
+      observe;
+      (* chaos acts by step number, so its run may leave the prefix
+         anywhere *)
+      sharing = (match chaos with None when tracing -> prefix | _ -> None);
+      next_idx = 0;
       chaos;
       chaos_corrupted = false;
       switch_fired = false;
@@ -447,30 +502,36 @@ let run_uninstrumented ?switch ?vswitch ?chaos ?(budget = default_budget)
       Ok ()
     with Abort_exn reason -> Error reason
   in
-  {
-    trace = st.trace;
-    outputs = Vec.to_list st.outputs;
-    outcome;
-    steps = st.steps;
-    switch_fired = st.switch_fired;
-  }
+  end_sharing st;
+  ( {
+      trace = st.trace;
+      outputs = Vec.to_list st.outputs;
+      outcome;
+      steps = st.steps;
+      switch_fired = st.switch_fired;
+    },
+    st.next_idx )
 
 (* Observability wrapper.  Nothing is recorded per interpreter step —
    the run reports its totals exactly once, on completion, so the hot
    path ([reserve]/[eval]/[exec_stmt]) is identical with and without
    [obs]. *)
-let run ?obs ?switch ?vswitch ?chaos ?budget ?tracing prog ~input =
+let run ?obs ?switch ?vswitch ?chaos ?budget ?tracing ?prefix ?observe prog
+    ~input =
   let go () =
-    run_uninstrumented ?switch ?vswitch ?chaos ?budget ?tracing prog ~input
+    run_uninstrumented ?switch ?vswitch ?chaos ?budget ?tracing ?prefix
+      ?observe prog ~input
   in
   match obs with
-  | None -> go ()
+  | None -> fst (go ())
   | Some obs ->
-    let r = Exom_obs.Obs.with_span obs ~cat:"interp" "interp.run" go in
+    let r, shared = Exom_obs.Obs.with_span obs ~cat:"interp" "interp.run" go in
     Exom_obs.Obs.incr obs "interp.runs";
     Exom_obs.Obs.add obs "interp.steps" r.steps;
     (match r.trace with
-    | Some tr -> Exom_obs.Obs.add obs "interp.trace_records" (Trace.length tr)
+    | Some tr ->
+      Exom_obs.Obs.add obs "interp.trace_records" (Trace.length tr);
+      Exom_obs.Obs.add obs "interp.shared_records" shared
     | None -> ());
     r
 

@@ -44,7 +44,29 @@ val default_budget : int
     {!Chaos.Injected}, modelling failure modes outside the interpreter's
     own abort machinery (the resilience layer above must contain it).
     Behaviour on programs that did not pass {!Exom_lang.Typecheck} is
-    unspecified (may raise [Invalid_argument]). *)
+    unspecified (may raise [Invalid_argument]).
+
+    {b Shared prefix}: [prefix] must be the trace of an unswitched,
+    chaos-free run of the same program on the same [input] (any
+    budget).  Until this run can differ from it, the run is in {e
+    shared mode}: it keeps its use/def bookkeeping but builds no trace
+    records.  Shared mode ends at the first of: the branch or value
+    switch firing, the run aborting, or the run reserving an instance
+    beyond [prefix]'s length.  The run then takes over [prefix]'s
+    records for every instance reserved so far, by reference, and
+    records normally from there on; an instance still open at that
+    point (the switched predicate, a statement whose callee is
+    running) gets a fresh record when it completes.  The resulting
+    trace is structurally equal to the one a fully traced run builds.
+    [prefix] is ignored when [tracing] is false or [chaos] is given
+    (chaos acts by step number).  With [obs], the records taken over
+    are counted as [interp.shared_records], next to
+    [interp.trace_records].
+
+    {b Observer}: [observe sid kind value] is called as each statement
+    instance completes, with what its trace record would hold — also in
+    an untraced run, which is how a value profile is gathered without a
+    trace.  A crashed or budget-cut statement reports [Kother]. *)
 val run :
   ?obs:Exom_obs.Obs.t ->
   ?switch:switch_spec ->
@@ -52,6 +74,8 @@ val run :
   ?chaos:Chaos.t ->
   ?budget:int ->
   ?tracing:bool ->
+  ?prefix:Trace.t ->
+  ?observe:(int -> Trace.ikind -> Value.t -> unit) ->
   Exom_lang.Ast.program ->
   input:int list ->
   run

@@ -2,40 +2,30 @@ module Iset = Set.Make (Int)
 
 type t = {
   values : (int, Iset.t) Hashtbl.t;  (* sid -> int values produced *)
-  bools : (int, bool list) Hashtbl.t;  (* sid -> distinct outcomes *)
   mutable runs : int;
 }
-
-let create () = { values = Hashtbl.create 64; bools = Hashtbl.create 16; runs = 0 }
 
 let add_value t sid n =
   let set = Option.value ~default:Iset.empty (Hashtbl.find_opt t.values sid) in
   Hashtbl.replace t.values sid (Iset.add n set)
 
-let add_bool t sid b =
-  let seen = Option.value ~default:[] (Hashtbl.find_opt t.bools sid) in
-  if not (List.mem b seen) then Hashtbl.replace t.bools sid (b :: seen)
+(* The int values a completed instance produced: assignments, outputs
+   and returns.  Predicate outcomes and bool values have no int range. *)
+let observe t sid kind value =
+  match (kind, value) with
+  | (Trace.Kassign | Trace.Koutput | Trace.Kreturn), Value.Vint n ->
+    add_value t sid n
+  | _ -> ()
 
-let record_trace t trace =
-  Trace.iter
-    (fun inst ->
-      match inst.Trace.kind with
-      | Trace.Kpredicate b -> add_bool t inst.Trace.sid b
-      | Trace.Kassign | Trace.Koutput | Trace.Kreturn -> (
-        match inst.Trace.value with
-        | Value.Vint n -> add_value t inst.Trace.sid n
-        | Value.Vbool b -> add_bool t inst.Trace.sid b
-        | Value.Varr _ | Value.Vunit -> ())
-      | Trace.Kcall | Trace.Kother -> ())
-    trace
-
-let add_run t (run : Interp.run) =
-  t.runs <- t.runs + 1;
-  Option.iter (record_trace t) run.Interp.trace
-
+(* Profile runs are untraced: the observer sees every completed
+   instance, which is all the profile needs. *)
 let collect prog inputs =
-  let t = create () in
-  List.iter (fun input -> add_run t (Interp.run prog ~input)) inputs;
+  let t = { values = Hashtbl.create 64; runs = 0 } in
+  List.iter
+    (fun input ->
+      t.runs <- t.runs + 1;
+      ignore (Interp.run ~tracing:false ~observe:(observe t) prog ~input))
+    inputs;
   t
 
 let int_range t sid =

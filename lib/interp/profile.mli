@@ -6,13 +6,8 @@
 
 type t
 
-val create : unit -> t
-
-(** Record all values produced by a traced run. *)
-val add_run : t -> Interp.run -> unit
-
-(** [collect prog inputs] runs [prog] on every input and accumulates the
-    profile. *)
+(** [collect prog inputs] runs [prog] untraced on every input and
+    accumulates the int values each statement produced. *)
 val collect : Exom_lang.Ast.program -> int list list -> t
 
 (** Profiled int domain of a statement, with [observed] (the value seen

@@ -13,10 +13,10 @@ type instance = {
   sid : int;
   occ : int;
   parent : int;
-  mutable kind : ikind;
-  mutable uses : (Cell.t * int * Value.t) list;
-  mutable defs : (Cell.t * Value.t) list;
-  mutable value : Value.t;
+  kind : ikind;
+  uses : (Cell.t * int * Value.t) list;
+  defs : (Cell.t * Value.t) list;
+  value : Value.t;
 }
 
 let dummy_instance =
@@ -43,12 +43,18 @@ let reserve t ~sid ~occ ~parent =
       value = Value.Vunit };
   idx
 
+(* A slot is replaced, never mutated: its record may be shared with
+   another trace (see [share_prefix]). *)
 let fill t idx ~kind ~uses ~defs ~value =
   let inst = Vec.get t.instances idx in
-  inst.kind <- kind;
-  inst.uses <- uses;
-  inst.defs <- defs;
-  inst.value <- value
+  Vec.set t.instances idx { inst with kind; uses; defs; value }
+
+let share_prefix t ~prefix n ~occ =
+  assert (length t = 0);
+  for idx = 0 to n - 1 do
+    Vec.push t.instances (Vec.get prefix.instances idx)
+  done;
+  Hashtbl.iter (Hashtbl.replace t.occ_counts) occ
 
 let occurrences t sid =
   Option.value ~default:0 (Hashtbl.find_opt t.occ_counts sid)

@@ -29,13 +29,16 @@ type instance = {
   sid : int;
   occ : int;
   parent : int;
-  mutable kind : ikind;
-  mutable uses : (Cell.t * int * Value.t) list;
+  kind : ikind;
+  uses : (Cell.t * int * Value.t) list;
       (** cell read, defining instance index ([-1] if the cell was never
           written, e.g. a fresh array element), value observed *)
-  mutable defs : (Cell.t * Value.t) list;
-  mutable value : Value.t;
+  defs : (Cell.t * Value.t) list;
+  value : Value.t;
 }
+(** Records are immutable, so traces can share them: a switched run
+    takes over the failing run's records below the switch point (see
+    {!share_prefix}). *)
 
 type t
 
@@ -49,6 +52,7 @@ val get : t -> int -> instance
     them even when tracing is off, for predicate switching). *)
 val reserve : t -> sid:int -> occ:int -> parent:int -> int
 
+(** [fill] replaces the reserved slot with a fresh, complete record. *)
 val fill :
   t ->
   int ->
@@ -57,6 +61,12 @@ val fill :
   defs:(Cell.t * Value.t) list ->
   value:Value.t ->
   unit
+
+(** [share_prefix t ~prefix n ~occ] appends the first [n] records of
+    [prefix] to the empty trace [t] by reference, and sets [t]'s
+    occurrence counts to [occ] (sid -> executions so far). *)
+val share_prefix :
+  t -> prefix:t -> int -> occ:(int, int) Hashtbl.t -> unit
 
 (** Number of executed instances of a statement. *)
 val occurrences : t -> int -> int

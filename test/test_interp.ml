@@ -828,6 +828,95 @@ void main() {
         trace_equal t
           (Exom_interp.Trace_io.of_string (Exom_interp.Trace_io.to_string t)))
 
+(* Shared prefixes: a switched run takes the failing run's records over
+   below the switch point.  Here a loop condition calls a function, and
+   a caller statement is still open while a callee's predicate is
+   switched — such instances must get fresh records, and the shared
+   ones must be the prefix's own.  Every budget is tried too, so some
+   cut lands inside the loop condition's call while still sharing. *)
+let same_traced_run (a : Interp.run) (b : Interp.run) =
+  let ta = trace_of a and tb = trace_of b in
+  a.Interp.outputs = b.Interp.outputs
+  && a.Interp.outcome = b.Interp.outcome
+  && a.Interp.steps = b.Interp.steps
+  && a.Interp.switch_fired = b.Interp.switch_fired
+  && Trace.length ta = Trace.length tb
+  && List.for_all
+       (fun i -> Trace.get ta i = Trace.get tb i)
+       (List.init (Trace.length ta) Fun.id)
+
+let test_shared_prefix () =
+  let src =
+    {|
+int next(int x) {
+  return x + 1;
+}
+int weight(int x) {
+  if (x > 1) {
+    return 2;
+  }
+  return 1;
+}
+void main() {
+  int i = 0;
+  int s = 0;
+  while (next(i) < 5) {
+    s = s + weight(i);
+    i = i + 1;
+  }
+  print(s);
+}
+|}
+  in
+  let prog = compile src in
+  let base = Interp.run prog ~input:[] in
+  let prefix = trace_of base in
+  let obs = Exom_obs.Obs.create () in
+  Trace.iter
+    (fun inst ->
+      if Trace.is_predicate inst then begin
+        let switch =
+          { Interp.switch_sid = inst.Trace.sid; switch_occ = inst.Trace.occ }
+        in
+        let full = Interp.run ~switch prog ~input:[] in
+        let shared = Interp.run ~obs ~switch ~prefix prog ~input:[] in
+        let ts = trace_of shared in
+        let label = Printf.sprintf "switch of #%d" inst.Trace.idx in
+        Alcotest.(check bool) (label ^ ": same run") true
+          (same_traced_run full shared);
+        for budget = 1 to base.Interp.steps do
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: same run at budget %d" label budget)
+            true
+            (same_traced_run
+               (Interp.run ~switch ~budget prog ~input:[])
+               (Interp.run ~switch ~budget ~prefix prog ~input:[]))
+        done;
+        Alcotest.(check bool) (label ^ ": first record shared") true
+          (Trace.get ts 0 == Trace.get prefix 0);
+        Alcotest.(check bool) (label ^ ": switched record fresh") false
+          (Trace.get ts inst.Trace.idx == Trace.get prefix inst.Trace.idx)
+      end)
+    prefix;
+  let fresh = trace_of (Interp.run prog ~input:[]) in
+  Alcotest.(check bool) "prefix records untouched" true
+    (Trace.length fresh = Trace.length prefix
+    && List.for_all
+         (fun i -> Trace.get fresh i = Trace.get prefix i)
+         (List.init (Trace.length fresh) Fun.id));
+  let m = Exom_obs.Obs.metrics obs in
+  let count = Exom_obs.Metrics.counter_value m in
+  Alcotest.(check bool) "shared records counted" true
+    (count "interp.shared_records" > 0
+    && count "interp.shared_records" < count "interp.trace_records");
+  (* chaos acts by step number: no sharing under it *)
+  let chaos = { Chaos.seed = 0; fault = Chaos.Crash_at 1_000_000 } in
+  let obs = Exom_obs.Obs.create () in
+  ignore (Interp.run ~obs ~chaos ~prefix prog ~input:[]);
+  Alcotest.(check int) "no sharing under chaos" 0
+    (Exom_obs.Metrics.counter_value (Exom_obs.Obs.metrics obs)
+       "interp.shared_records")
+
 (* Value profiles *)
 
 let test_profile () =
@@ -949,7 +1038,8 @@ let () =
           tc "loop predicate early exit" test_switch_loop_predicate_exits_early;
           tc "unreached switch" test_switch_not_fired_when_unreached;
           tc "value switch" test_value_switch;
-          tc "value switch occurrence" test_value_switch_specific_occurrence ] );
+          tc "value switch occurrence" test_value_switch_specific_occurrence;
+          tc "shared prefix" test_shared_prefix ] );
       ( "serialization",
         [ tc "round trip" test_trace_roundtrip;
           tc "rejects garbage" test_trace_io_rejects_garbage;

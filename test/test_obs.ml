@@ -547,7 +547,17 @@ let test_metric_tree_determinism () =
     (fst (c "demand.confidence_solves"));
   Alcotest.(check bool) "refinements and PD lookups counted" true
     (fst (c "demand.confidence_refines") > 0
-    && fst (c "demand.pd_computed") > 0)
+    && fst (c "demand.pd_computed") > 0);
+  (* switched runs take the failing run's records over below the switch
+     point: what they build is j-invariant, and sharing is not lost *)
+  let built m =
+    Metrics.counter_value m "interp.trace_records"
+    - Metrics.counter_value m "interp.shared_records"
+  in
+  Alcotest.(check int) "built records identical at -j1 and -j4" (built m1)
+    (built m4);
+  Alcotest.(check bool) "records built and shared" true
+    (built m1 > 0 && fst (c "interp.shared_records") > 0)
 
 (* Lanes and span ids are assigned on the coordinator in submission
    order, so the whole spine — not just the metric tree — is

@@ -17,7 +17,14 @@
    - the coordinator's incremental analyses equal the from-scratch
      functions they stand in for: a chain of confidence refinements,
      slice extensions and the PD memo (differential, random benign and
-     edge increments). *)
+     edge increments);
+   - a switched run that takes the failing run's records over below
+     the switch point equals the fully traced switched run, record for
+     record (differential: random branch or value switches and budget
+     cuts on generated programs, and every predicate instance of the
+     13 suite faults);
+   - the untraced value profile equals the profile read off traced
+     runs (differential, generated programs and the suite). *)
 
 module Pretty = Exom_lang.Pretty
 module Typecheck = Exom_lang.Typecheck
@@ -34,6 +41,9 @@ module Confidence = Exom_conf.Confidence
 module Slice = Exom_ddg.Slice
 module Relevant = Exom_ddg.Relevant
 module Demand = Exom_core.Demand
+module Value = Exom_interp.Value
+module B = Exom_bench.Bench_types
+module Suite = Exom_bench.Suite
 
 let seed =
   match Sys.getenv_opt "QCHECK_SEED" with
@@ -375,6 +385,179 @@ let prop_pd_memo =
       let distinct = List.length (List.sort_uniq compare queries) in
       Demand.pd_memo_counts memo = (distinct, List.length queries - distinct))
 
+(* {2 Shared-prefix switched runs against fully traced ones} *)
+
+let same_trace ~sids a b =
+  Trace.length a = Trace.length b
+  && List.for_all
+       (fun i -> Trace.get a i = Trace.get b i)
+       (List.init (Trace.length a) Fun.id)
+  && List.for_all
+       (fun sid -> Trace.occurrences a sid = Trace.occurrences b sid)
+       (List.init sids Fun.id)
+
+(* Every field of the run, every record and every occurrence count. *)
+let same_run ~sids (a : Interp.run) (b : Interp.run) =
+  a.Interp.outputs = b.Interp.outputs
+  && a.Interp.outcome = b.Interp.outcome
+  && a.Interp.steps = b.Interp.steps
+  && a.Interp.switch_fired = b.Interp.switch_fired
+  &&
+  match (a.Interp.trace, b.Interp.trace) with
+  | Some ta, Some tb -> same_trace ~sids ta tb
+  | _ -> false
+
+let shares_exactly ?switch ?vswitch ~budget prog input prefix =
+  same_run ~sids:(Ast.stmt_count prog)
+    (Interp.run ?switch ?vswitch ~budget prog ~input)
+    (Interp.run ?switch ?vswitch ~budget ~prefix prog ~input)
+
+(* Sharing never writes to the prefix: it still equals a fresh failing
+   run after every switched run that took records from it. *)
+let prefix_untouched prog input prefix =
+  same_trace ~sids:(Ast.stmt_count prog) prefix
+    (Option.get (traced prog input).Interp.trace)
+
+let prop_shared_prefix =
+  QCheck.Test.make ~name:"shared-prefix switched run = traced run" ~count:80
+    QCheck.(quad arb (int_bound 999) (int_bound 999) (int_range (-50) 50))
+    (fun ((prog, input), frac, pick, delta) ->
+      let full = traced prog input in
+      let prefix = Option.get full.Interp.trace in
+      let n = Trace.length prefix in
+      n = 0
+      ||
+      (* from far below the switch point to twice the failing run *)
+      let budget = max 1 (full.Interp.steps * 2 * frac / 1000) in
+      let nth_of pred =
+        match
+          List.filter
+            (fun i -> pred (Trace.get prefix i))
+            (List.init n Fun.id)
+        with
+        | [] -> None
+        | l -> Some (Trace.get prefix (List.nth l (pick mod List.length l)))
+      in
+      let branch_ok =
+        match nth_of Trace.is_predicate with
+        | None -> true
+        | Some inst ->
+          let switch =
+            { Interp.switch_sid = inst.Trace.sid; switch_occ = inst.Trace.occ }
+          in
+          shares_exactly ~switch ~budget prog input prefix
+      in
+      let value_ok =
+        match
+          nth_of (fun i ->
+              i.Trace.kind = Trace.Kassign
+              && match i.Trace.value with Value.Vint _ -> true | _ -> false)
+        with
+        | None -> true
+        | Some inst ->
+          let vswitch =
+            { Interp.vswitch_sid = inst.Trace.sid;
+              vswitch_occ = inst.Trace.occ;
+              vswitch_value =
+                Value.Vint (Value.as_int inst.Trace.value + delta) }
+          in
+          shares_exactly ~vswitch ~budget prog input prefix
+      in
+      branch_ok && value_ok
+      (* without a switch the run is the failing run itself *)
+      && shares_exactly ~budget prog input prefix
+      && prefix_untouched prog input prefix)
+
+let suite_programs () =
+  List.map
+    (fun (bench, fault) ->
+      ( bench,
+        fault,
+        Typecheck.parse_and_check (B.faulty_source bench fault) ))
+    Suite.rows
+
+(* Every predicate instance of every suite fault, switched at the
+   session budget and at half the failing run's steps (a cut that lands
+   before the switch for late instances, after it for early ones). *)
+let test_suite_shared_prefix () =
+  List.iter
+    (fun (bench, fault, prog) ->
+      let input = fault.B.failing_input in
+      let failing = traced prog input in
+      let prefix = Option.get failing.Interp.trace in
+      let cut = failing.Interp.steps / 2 in
+      Trace.iter
+        (fun inst ->
+          if Trace.is_predicate inst then begin
+            let switch =
+              { Interp.switch_sid = inst.Trace.sid;
+                switch_occ = inst.Trace.occ }
+            in
+            List.iter
+              (fun budget ->
+                if not (shares_exactly ~switch ~budget prog input prefix) then
+                  Alcotest.failf "%s %s: switch of #%d at budget %d differs"
+                    bench.B.name fault.B.fid inst.Trace.idx budget)
+              [ Interp.default_budget; cut ]
+          end)
+        prefix;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %s prefix untouched" bench.B.name fault.B.fid)
+        true
+        (prefix_untouched prog input prefix))
+    (suite_programs ())
+
+(* {2 Untraced value profile against the traced one} *)
+
+module Iset = Set.Make (Int)
+
+(* The profile as it was built from traced runs: every record's int
+   value, for assignments, outputs and returns. *)
+let traced_profile prog inputs =
+  let values = Hashtbl.create 64 in
+  let add sid n =
+    let set = Option.value ~default:Iset.empty (Hashtbl.find_opt values sid) in
+    Hashtbl.replace values sid (Iset.add n set)
+  in
+  let record_trace trace =
+    Trace.iter
+      (fun inst ->
+        match inst.Trace.kind with
+        | Trace.Kassign | Trace.Koutput | Trace.Kreturn -> (
+          match inst.Trace.value with
+          | Value.Vint n -> add inst.Trace.sid n
+          | Value.Vbool _ | Value.Varr _ | Value.Vunit -> ())
+        | Trace.Kpredicate _ | Trace.Kcall | Trace.Kother -> ())
+      trace
+  in
+  List.iter
+    (fun input -> Option.iter record_trace (traced prog input).Interp.trace)
+    inputs;
+  fun sid ->
+    Iset.elements (Option.value ~default:Iset.empty (Hashtbl.find_opt values sid))
+
+let same_profile prog inputs =
+  let profile = Profile.collect prog inputs in
+  let reference = traced_profile prog inputs in
+  Profile.runs profile = List.length inputs
+  && List.for_all
+       (fun sid -> Profile.range profile sid ~observed:Value.Vunit = reference sid)
+       (List.init (Ast.stmt_count prog) Fun.id)
+
+let prop_profile =
+  QCheck.Test.make ~name:"untraced profile = traced profile" ~count:80 arb
+    (fun (prog, input) ->
+      same_profile prog [ input; List.rev input; List.map succ input; [] ])
+
+let test_suite_profile () =
+  List.iter
+    (fun (bench, fault, prog) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %s profile" bench.B.name fault.B.fid)
+        true
+        (same_profile prog bench.B.test_inputs))
+    (suite_programs ())
+
 let () =
   let rand = Random.State.make [| seed |] in
   let q t = QCheck_alcotest.to_alcotest ~rand t in
@@ -390,6 +573,14 @@ let () =
           q prop_confidence_refine;
           q prop_slice_extend;
           q prop_pd_memo;
+          q prop_shared_prefix;
+          q prop_profile;
         ] );
       ("examples", [ Alcotest.test_case "differential" `Quick test_examples_differential ]);
+      ( "suite",
+        [
+          Alcotest.test_case "shared-prefix switched runs" `Slow
+            test_suite_shared_prefix;
+          Alcotest.test_case "untraced profile" `Quick test_suite_profile;
+        ] );
     ]

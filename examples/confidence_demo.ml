@@ -40,7 +40,7 @@ let () =
   let trace = match run.Interp.trace with Some t -> t | None -> assert false in
   (* value profile over a passing test suite: range(a) = {1,2,3,4,6} + 5 *)
   let profile =
-    Profile.collect prog [ [ 1 ]; [ 2 ]; [ 3 ]; [ 4 ]; [ 6 ] ]
+    Profile.collect (Interp.compile prog) [ [ 1 ]; [ 2 ]; [ 3 ]; [ 4 ]; [ 6 ] ]
   in
   (* the user observes: print(b) correct, print(c) wrong *)
   let correct = [ fst (List.nth run.Interp.outputs 0) ] in

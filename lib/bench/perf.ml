@@ -98,6 +98,8 @@ let run_suite ?config ?(jobs = Pool.default_jobs ()) ?corpus_count () =
       add "suite.queries" report.Demand.verify_queries;
       add "suite.switched_runs" (Metrics.timer_count fault_reg "verify.run");
       add "suite.interp_runs" (Metrics.counter_value fault_reg "interp.runs");
+      (* one per session: a run that compiles its own program shows up *)
+      add "suite.compiles" (Metrics.counter_value fault_reg "interp.compiles");
       (* trace records actually built: switched runs take the failing
          run's records over below the switch point *)
       add "suite.built_records"
@@ -354,7 +356,7 @@ let comparable reg ~other =
 
 let gated_counts =
   [ "suite.queries"; "suite.switched_runs"; "suite.interp_runs";
-    "suite.built_records";
+    "suite.built_records"; "suite.compiles";
     "store.warm.switched_runs"; "corpus.failed"; "corpus.iterations";
     "corpus.verifications" ]
 

@@ -41,8 +41,8 @@ let find ?(cap = max_int) ?(stop_at_first = true) (s : Session.t) ~expected =
         in
         incr executions;
         let run =
-          Interp.run ~switch ~tracing:false ~budget:s.Session.budget
-            s.Session.prog ~input:s.Session.input
+          Interp.exec ~switch ~tracing:false ~budget:s.Session.budget
+            s.Session.code ~input:s.Session.input
         in
         (match run.Interp.outcome with
         | Ok () when Interp.output_values run = expected ->

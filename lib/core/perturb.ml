@@ -30,8 +30,8 @@ let perturbed_run (s : Session.t) ~budget ~d ~candidate =
   in
   let obs = s.Session.obs in
   Exom_obs.Obs.timed obs "verify.run" (fun () ->
-      Interp.run ~obs ~vswitch ?chaos:s.Session.chaos ~budget
-        ~prefix:s.Session.trace s.Session.prog ~input:s.Session.input)
+      Interp.exec ~obs ~vswitch ?chaos:s.Session.chaos ~budget
+        ~prefix:s.Session.trace s.Session.code ~input:s.Session.input)
 
 let classify (s : Session.t) ~(run' : Interp.run) ~d ~u =
   match run'.Interp.trace with

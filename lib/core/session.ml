@@ -32,6 +32,7 @@ type replay_group = {
 
 type t = {
   prog : Ast.program;
+  code : Interp.program;  (* [prog] compiled, for every re-execution *)
   info : Proginfo.t;
   input : int list;
   run : Interp.run;
@@ -137,9 +138,10 @@ let create ?obs ?(budget = Interp.default_budget) ?policy ?chaos ?store ?ledger
     ~prog ~input ~expected ~profile_inputs () =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   Obs.with_span obs ~cat:"session" "session.create" @@ fun () ->
+  let code = Interp.compile ~obs prog in
   let run =
     Obs.with_span obs ~cat:"session" "session.failing_run" (fun () ->
-        Interp.run ~obs ~budget prog ~input)
+        Interp.exec ~obs ~budget code ~input)
   in
   let trace =
     match run.Interp.trace with
@@ -157,7 +159,7 @@ let create ?obs ?(budget = Interp.default_budget) ?policy ?chaos ?store ?ledger
   in
   let profile =
     Obs.with_span obs ~cat:"session" "session.profile" (fun () ->
-        Profile.collect prog profile_inputs)
+        Profile.collect code profile_inputs)
   in
   (match ledger with
   | Some l ->
@@ -169,6 +171,7 @@ let create ?obs ?(budget = Interp.default_budget) ?policy ?chaos ?store ?ledger
   | None -> ());
   {
     prog;
+    code;
     info;
     input;
     run;

@@ -35,6 +35,8 @@ type replay_group = {
 
 type t = {
   prog : Exom_lang.Ast.program;
+  code : Exom_interp.Interp.program;
+      (** [prog] compiled once; every re-execution runs it *)
   info : Exom_cfg.Proginfo.t;
   input : int list;
   run : Exom_interp.Interp.run;

@@ -45,15 +45,15 @@ type mode = Edge_approximation | Path_exact
    the coordinator), keeping
    [Guard.stats.completed + aborted = Session.verifications].  Up to
    the switch the run is the failing run, so it takes that run's trace
-   records over instead of rebuilding them ({!Interp.run}'s [prefix]). *)
+   records over instead of rebuilding them ({!Interp.exec}'s [prefix]). *)
 let switched_run (s : Session.t) wobs ~budget ~p =
   let inst = Trace.get s.Session.trace p in
   let switch =
     { Interp.switch_sid = inst.Trace.sid; switch_occ = inst.Trace.occ }
   in
   Obs.timed wobs "verify.run" (fun () ->
-      Interp.run ~obs:wobs ~switch ?chaos:s.Session.chaos ~budget
-        ~prefix:s.Session.trace s.Session.prog ~input:s.Session.input)
+      Interp.exec ~obs:wobs ~switch ?chaos:s.Session.chaos ~budget
+        ~prefix:s.Session.trace s.Session.code ~input:s.Session.input)
 
 (* Does some use of [u'] read a definition that lies inside the region
    of the switched predicate [p'] (i.e. executed only because of the

@@ -170,24 +170,25 @@ let validation_budget = 50_000
    input's reference run is forced at most once and shared. *)
 type reference = { ref_input : int list; ref_run : Interp.run Lazy.t }
 
-let reference correct input =
+let reference code input =
   {
     ref_input = input;
-    ref_run = lazy (Interp.run ~budget:validation_budget correct ~input);
+    ref_run = lazy (Interp.exec ~budget:validation_budget code ~input);
   }
 
 (* The two checks that need traces: some statement runs strictly fewer
    times in the faulty run [rf] than in the correct run [rc], and the
-   first divergent output is anchored at the same print statement. *)
-let omits_at_aligned_anchor ~correct (rc : Interp.run) (rf : Interp.run) =
+   first divergent output is anchored at the same print statement.
+   Mutations keep every statement, so the two programs' sids agree and
+   the correct run's occurrence counts cover them all. *)
+let omits_at_aligned_anchor (rc : Interp.run) (rf : Interp.run) =
   match (rc.Interp.trace, rf.Interp.trace) with
   | Some tc, Some tf ->
     let omitted = ref false in
-    Hashtbl.iter
-      (fun sid _ ->
-        if Trace.occurrences tf sid < Trace.occurrences tc sid then
-          omitted := true)
-      (Ast.stmt_table correct);
+    for sid = 0 to Trace.sid_range tc - 1 do
+      if Trace.occurrences tf sid < Trace.occurrences tc sid then
+        omitted := true
+    done;
     (* aligned anchor: the first divergent output position must be
        produced by the {e same} print statement in both runs, with a
        different value.  A purely positional shift (the faulty stream
@@ -213,10 +214,10 @@ let omits_at_aligned_anchor ~correct (rc : Interp.run) (rf : Interp.run) =
    re-run traced for the omission and anchor checks.  Tracing never
    changes a run's outcome, step count or output values, so the
    pre-check rejects exactly the candidates the traced checks would. *)
-let validates_against ~correct ~faulty r =
+let validates_against ~faulty r =
   let input = r.ref_input in
   let run ~tracing =
-    Interp.run ~budget:validation_budget ~tracing faulty ~input
+    Interp.exec ~budget:validation_budget ~tracing faulty ~input
   in
   let pre = run ~tracing:false in
   match pre.Interp.outcome with
@@ -229,10 +230,11 @@ let validates_against ~correct ~faulty r =
       let expected = Interp.output_values rc in
       match Session.classify_outputs ~outputs:pre.Interp.outputs ~expected with
       | exception Session.No_failure -> false
-      | _ -> omits_at_aligned_anchor ~correct rc (run ~tracing:true)))
+      | _ -> omits_at_aligned_anchor rc (run ~tracing:true)))
 
 let validates ~correct ~faulty ~input =
-  validates_against ~correct ~faulty (reference correct input)
+  validates_against ~faulty:(Interp.compile faulty)
+    (reference (Interp.compile correct) input)
 
 let rotate n xs =
   if xs = [] then []
@@ -256,14 +258,14 @@ let root_of faulty sid =
   (!line, List.rev !sids)
 
 let search ~prog ~sites ~inputs =
-  let refs = List.map (reference prog) inputs in
+  let code = Interp.compile prog in
+  let refs = List.map (reference code) inputs in
   let try_site (cls, sid) =
     match apply prog cls sid with
     | None -> None
     | Some faulty -> (
-      match
-        List.find_opt (validates_against ~correct:prog ~faulty) refs
-      with
+      let fcode = Interp.compile faulty in
+      match List.find_opt (validates_against ~faulty:fcode) refs with
       | None -> None
       | Some r ->
         let line, sids = root_of faulty sid in

@@ -85,7 +85,8 @@ val validates :
 (** [search ~prog ~sites ~inputs] tries [sites] in order, mutating
     [prog] at each and validating the mutant against [inputs] in
     order, and returns the first validated fault.  The correct
-    program runs at most once per input for the whole search. *)
+    program is compiled once and runs at most once per input for the
+    whole search; each mutant is compiled once for all its runs. *)
 val search :
   prog:Exom_lang.Ast.program ->
   sites:(fault_class * int) list ->

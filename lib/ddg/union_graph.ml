@@ -41,7 +41,8 @@ let add_run t (run : Interp.run) =
 
 let collect prog inputs =
   let t = create () in
-  List.iter (fun input -> add_run t (Interp.run prog ~input)) inputs;
+  let code = Interp.compile prog in
+  List.iter (fun input -> add_run t (Interp.exec code ~input)) inputs;
   t
 
 let observed t ~def_sid ~use_sid = Hashtbl.mem t.pairs (def_sid, use_sid)

@@ -8,7 +8,7 @@
     on purpose, from a single integer seed, so tests can sweep seeds and
     prove that no injected fault ever escapes the resilience layer.
 
-    A chaos spec is threaded into {!Interp.run} by the verification
+    A chaos spec is threaded into {!Interp.exec} by the verification
     engine only — the failing run under diagnosis is never injected —
     and fires at a seed-chosen step of the re-execution.  The same seed
     always produces the same fault at the same step. *)
@@ -34,7 +34,7 @@ type fault =
           overflow), and is re-raised through every containment layer so
           the scheduler's supervisor sees the worker die *)
 
-(** The one exception {!Interp.run} lets escape, by design. *)
+(** The one exception {!Interp.exec} lets escape, by design. *)
 exception Injected of string
 
 (** The fatal exception modelling worker-domain death.  Unlike

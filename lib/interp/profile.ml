@@ -19,12 +19,12 @@ let observe t sid kind value =
 
 (* Profile runs are untraced: the observer sees every completed
    instance, which is all the profile needs. *)
-let collect prog inputs =
+let collect code inputs =
   let t = { values = Hashtbl.create 64; runs = 0 } in
   List.iter
     (fun input ->
       t.runs <- t.runs + 1;
-      ignore (Interp.run ~tracing:false ~observe:(observe t) prog ~input))
+      ignore (Interp.exec ~tracing:false ~observe:(observe t) code ~input))
     inputs;
   t
 

@@ -6,9 +6,9 @@
 
 type t
 
-(** [collect prog inputs] runs [prog] untraced on every input and
+(** [collect code inputs] runs [code] untraced on every input and
     accumulates the int values each statement produced. *)
-val collect : Exom_lang.Ast.program -> int list list -> t
+val collect : Interp.program -> int list list -> t
 
 (** Profiled int domain of a statement, with [observed] (the value seen
     in the failing run) always included.  Sorted, duplicate-free. *)

@@ -25,18 +25,19 @@ let dummy_instance =
 
 type t = {
   instances : instance Vec.t;
-  occ_counts : (int, int) Hashtbl.t;  (* sid -> number of instances so far *)
+  mutable occ_counts : int array;  (* sid -> instances; set once per run *)
+  mutable abandoned : int;  (* first record an abort left empty, or max_int *)
 }
 
 let create () =
-  { instances = Vec.create ~dummy:dummy_instance; occ_counts = Hashtbl.create 64 }
+  { instances = Vec.create ~dummy:dummy_instance; occ_counts = [||];
+    abandoned = max_int }
 
 let length t = Vec.length t.instances
 
 let get t idx = Vec.get t.instances idx
 
 let reserve t ~sid ~occ ~parent =
-  Hashtbl.replace t.occ_counts sid occ;
   let idx = Vec.length t.instances in
   Vec.push t.instances
     { idx; sid; occ; parent; kind = Kother; uses = []; defs = [];
@@ -49,15 +50,33 @@ let fill t idx ~kind ~uses ~defs ~value =
   let inst = Vec.get t.instances idx in
   Vec.set t.instances idx { inst with kind; uses; defs; value }
 
-let share_prefix t ~prefix n ~occ =
-  assert (length t = 0);
-  for idx = 0 to n - 1 do
-    Vec.push t.instances (Vec.get prefix.instances idx)
-  done;
-  Hashtbl.iter (Hashtbl.replace t.occ_counts) occ
+let abandon t idx =
+  fill t idx ~kind:Kother ~uses:[] ~defs:[] ~value:Value.Vunit;
+  t.abandoned <- min t.abandoned idx
+
+let shareable t = min (length t) t.abandoned
+
+let share_prefix t ~prefix n =
+  assert (length t = 0 && n <= shareable prefix);
+  Vec.append_prefix t.instances prefix.instances n
+
+let set_occurrences t counts = t.occ_counts <- counts
+
+(* A trace built record by record (a parsed dump) counts its
+   occurrences from the records: an instance's [occ] is the number of
+   instances of its sid up to and including it. *)
+let recount t =
+  let n = Vec.fold_left (fun n i -> max n (i.sid + 1)) 0 t.instances in
+  let counts = Array.make n 0 in
+  Vec.iter
+    (fun i -> if i.sid >= 0 then counts.(i.sid) <- max counts.(i.sid) i.occ)
+    t.instances;
+  t.occ_counts <- counts
+
+let sid_range t = Array.length t.occ_counts
 
 let occurrences t sid =
-  Option.value ~default:0 (Hashtbl.find_opt t.occ_counts sid)
+  if sid >= 0 && sid < Array.length t.occ_counts then t.occ_counts.(sid) else 0
 
 let iter f t = Vec.iter f t.instances
 

@@ -48,8 +48,7 @@ val get : t -> int -> instance
 
 (** Reserve the next instance slot for the [occ]-th execution of [sid]
     and return its index; [fill] completes it once the statement finishes
-    evaluating.  The interpreter supplies occurrence counts (it tracks
-    them even when tracing is off, for predicate switching). *)
+    evaluating. *)
 val reserve : t -> sid:int -> occ:int -> parent:int -> int
 
 (** [fill] replaces the reserved slot with a fresh, complete record. *)
@@ -62,11 +61,36 @@ val fill :
   value:Value.t ->
   unit
 
-(** [share_prefix t ~prefix n ~occ] appends the first [n] records of
-    [prefix] to the empty trace [t] by reference, and sets [t]'s
-    occurrence counts to [occ] (sid -> executions so far). *)
-val share_prefix :
-  t -> prefix:t -> int -> occ:(int, int) Hashtbl.t -> unit
+(** [abandon t idx] fills slot [idx] with the empty [Kother] record of
+    an instance an abort cut off before it could record what it had
+    read: a loop predicate whose condition's call crashed or ran out of
+    budget.  Such a record holds less than its instance read, so a run
+    sharing [t] as its prefix stops short of it (see {!shareable}). *)
+val abandon : t -> int -> unit
+
+(** How many leading records of [t] a run may take over as its prefix:
+    the length, or the first abandoned record if an abort left one.
+    Every record below it that an abort cut short still begins with
+    everything its instance read up to the cut. *)
+val shareable : t -> int
+
+(** [share_prefix t ~prefix n] appends the first [n] records of
+    [prefix] ([n <= shareable prefix]) to the empty trace [t] by
+    reference. *)
+val share_prefix : t -> prefix:t -> int -> unit
+
+(** [set_occurrences t counts] hands [t] its occurrence counts
+    ([counts.(sid)] = executions of [sid]), once, when the run that
+    built it ends.  The array is taken over, not copied. *)
+val set_occurrences : t -> int array -> unit
+
+(** Sets the occurrence counts from the records themselves, for a trace
+    built record by record ({!Trace_io}). *)
+val recount : t -> unit
+
+(** One past the largest sid the occurrence counts cover: every sid
+    with an instance lies in [\[0, sid_range t)]. *)
+val sid_range : t -> int
 
 (** Number of executed instances of a statement. *)
 val occurrences : t -> int -> int

@@ -199,7 +199,9 @@ let parse_all s =
       | () -> go (lineno + 1) rest
       | exception Bad msg -> (trace, Some { line = lineno; msg }))
   in
-  go 1 lines
+  let result = go 1 lines in
+  Trace.recount trace;
+  result
 
 let of_string_result s =
   match parse_all s with

@@ -25,6 +25,13 @@ let set t i x =
   if i < 0 || i >= t.len then invalid_arg "Vec.set: index out of bounds";
   t.data.(i) <- x
 
+let append_prefix t src n =
+  if n < 0 || n > src.len then
+    invalid_arg "Vec.append_prefix: length out of bounds";
+  ensure_capacity t (t.len + n);
+  Array.blit src.data 0 t.data t.len n;
+  t.len <- t.len + n
+
 let clear t = t.len <- 0
 
 let iter f t =

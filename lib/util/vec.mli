@@ -13,6 +13,11 @@ val push : 'a t -> 'a -> unit
 val get : 'a t -> int -> 'a
 
 val set : 'a t -> int -> 'a -> unit
+
+(** [append_prefix t src n] pushes the first [n] elements of [src]
+    onto [t]; raises [Invalid_argument] unless [0 <= n <= length src]. *)
+val append_prefix : 'a t -> 'a t -> int -> unit
+
 val clear : 'a t -> unit
 val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit

@@ -452,7 +452,7 @@ module Json = Exom_obs.Json
 (* A hand-made snapshot: one suite fault, the suite totals, both store
    passes (100 queries each) and, optionally, a corpus leg. *)
 let snapshot ?(found = true) ?(switched_runs = 100) ?(built = 5000)
-    ?(warm_hits = 95) ?(warm_runs = 0) ?(wall = 1.0) ?traced ?corpus () =
+    ?(compiles = 1) ?(warm_hits = 95) ?(warm_runs = 0) ?(wall = 1.0) ?traced ?corpus () =
   let reg = Metrics.create () in
   List.iter
     (fun (name, v) -> Metrics.add reg name v)
@@ -464,6 +464,7 @@ let snapshot ?(found = true) ?(switched_runs = 100) ?(built = 5000)
       ("suite.switched_runs", switched_runs);
       ("suite.interp_runs", 100);
       ("suite.built_records", built);
+      ("suite.compiles", compiles);
       ("store.prime.hits", 50);
       ("store.prime.queries", 100);
       ("store.warm.hits", warm_hits);
@@ -614,6 +615,8 @@ let test_perf_compare () =
     (regress old_s (snapshot ~switched_runs:150 ()));
   check_breach "lost prefix sharing flagged" "suite.built_records"
     (regress old_s (snapshot ~built:8000 ()));
+  check_breach "compiling per run flagged" "suite.compiles"
+    (regress old_s (snapshot ~compiles:100 ()));
   let missed = regress ~tolerance:1e6 old_s (snapshot ~found:false ()) in
   check_breach "lost localization flagged at any tolerance"
     "suite.gzipsim.V2-F3.found" missed;

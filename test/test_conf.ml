@@ -198,7 +198,7 @@ let fig4 () =
   let info = Proginfo.build prog in
   let r, t = traced prog [ 5 ] in
   (* profile over several odd/even inputs: range(a) = {1..6} *)
-  let profile = Profile.collect prog [ [ 1 ]; [ 2 ]; [ 3 ]; [ 4 ]; [ 6 ] ] in
+  let profile = Profile.collect (Interp.compile prog) [ [ 1 ]; [ 2 ]; [ 3 ]; [ 4 ]; [ 6 ] ] in
   let correct = [ fst (List.nth r.Interp.outputs 0) ] in
   let conf =
     Confidence.compute info profile t ~correct ~benign:[] ~implicit:[]
@@ -233,7 +233,7 @@ void main() {
   let prog = compile src in
   let info = Proginfo.build prog in
   let r, t = traced prog [ 7 ] in
-  let profile = Profile.collect prog [ [ 1 ]; [ 2 ]; [ 9 ] ] in
+  let profile = Profile.collect (Interp.compile prog) [ [ 1 ]; [ 2 ]; [ 9 ] ] in
   let correct = [ fst (List.nth r.Interp.outputs 0) ] in
   let conf =
     Confidence.compute info profile t ~correct ~benign:[] ~implicit:[]
@@ -266,7 +266,7 @@ void main() {
   let prog = compile src in
   let info = Proginfo.build prog in
   let r, t = traced prog [ 5 ] in
-  let profile = Profile.collect prog [ [ 1 ]; [ 2 ]; [ 3 ] ] in
+  let profile = Profile.collect (Interp.compile prog) [ [ 1 ]; [ 2 ]; [ 3 ] ] in
   let correct = [ fst (List.nth r.Interp.outputs 0) ] in
   let conf =
     Confidence.compute info profile t ~correct ~benign:[] ~implicit:[]
@@ -294,7 +294,7 @@ void main() {
   let prog = compile src in
   let info = Proginfo.build prog in
   let r, t = traced prog [] in
-  let profile = Profile.collect prog [ [] ] in
+  let profile = Profile.collect (Interp.compile prog) [ [] ] in
   let correct = [ fst (List.nth r.Interp.outputs 0) ] in
   let if_idx = (instance_of t ~sid:(sid_on_line prog 5)).Trace.idx in
   let print_idx = fst (List.nth r.Interp.outputs 0) in
@@ -330,7 +330,7 @@ void main() {
   let prog = compile src in
   let info = Proginfo.build prog in
   let r, t = traced prog [ 5 ] in
-  let profile = Profile.collect prog [ [ 1 ]; [ 2 ]; [ 7 ] ] in
+  let profile = Profile.collect (Interp.compile prog) [ [ 1 ]; [ 2 ]; [ 7 ] ] in
   let correct = [ fst (List.nth r.Interp.outputs 0) ] in
   let conf =
     Confidence.compute info profile t ~correct ~benign:[] ~implicit:[]
@@ -403,7 +403,7 @@ void main() {
       let prog = compile src in
       let info = Proginfo.build prog in
       let _, t = traced prog [ n ] in
-      let profile = Profile.collect prog [ [ 0 ]; [ 3 ]; [ 11 ]; [ 17 ] ] in
+      let profile = Profile.collect (Interp.compile prog) [ [ 0 ]; [ 3 ]; [ 11 ]; [ 17 ] ] in
       let r = Interp.run prog ~input:[ n ] in
       let correct = [ fst (List.nth r.Interp.outputs 0) ] in
       let conf =
@@ -436,7 +436,7 @@ void main() {
       let prog = compile src in
       let info = Proginfo.build prog in
       let r, t = traced prog [ n ] in
-      let profile = Profile.collect prog [ [ 1 ]; [ 2 ]; [ 5 ]; [ 8 ] ] in
+      let profile = Profile.collect (Interp.compile prog) [ [ 1 ]; [ 2 ]; [ 5 ]; [ 8 ] ] in
       let correct = [ fst (List.nth r.Interp.outputs 0) ] in
       let base =
         Confidence.compute info profile t ~correct ~benign:[] ~implicit:[]

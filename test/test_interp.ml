@@ -930,7 +930,7 @@ void main() {
 |}
   in
   let prog = compile src in
-  let profile = Profile.collect prog [ [ 1 ]; [ 2 ]; [ 3 ] ] in
+  let profile = Profile.collect (Interp.compile prog) [ [ 1 ]; [ 2 ]; [ 3 ] ] in
   Alcotest.(check int) "three runs" 3 (Profile.runs profile);
   let sq_sid = sid_on_line prog 4 in
   Alcotest.(check (list int))

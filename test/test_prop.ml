@@ -314,7 +314,7 @@ let prop_confidence_refine =
       let rand = Random.State.make [| k |] in
       let info = Proginfo.build prog in
       let profile =
-        Profile.collect prog [ input; List.rev input; List.map succ input ]
+        Profile.collect (Interp.compile prog) [ input; List.rev input; List.map succ input ]
       in
       let correct =
         List.filter_map
@@ -537,7 +537,7 @@ let traced_profile prog inputs =
     Iset.elements (Option.value ~default:Iset.empty (Hashtbl.find_opt values sid))
 
 let same_profile prog inputs =
-  let profile = Profile.collect prog inputs in
+  let profile = Profile.collect (Interp.compile prog) inputs in
   let reference = traced_profile prog inputs in
   Profile.runs profile = List.length inputs
   && List.for_all

@@ -414,7 +414,8 @@ let locate_cmd =
         | None, None -> None
       in
       let input = resolve_input input text in
-      let expected = Oracle.expected ~correct_prog:correct ~input in
+      let reference = Oracle.reference ~correct_prog:correct ~input in
+      let expected = Oracle.reference_outputs reference in
       let chaos = Option.map Chaos.of_seed chaos_seed in
       (match chaos with
       | Some c -> Format.eprintf "%a@." Chaos.pp c
@@ -462,8 +463,7 @@ let locate_cmd =
           | None -> ())
         | _ -> ());
         let oracle =
-          Oracle.create ~faulty_trace:session.Session.trace
-            ~correct_prog:correct ~input
+          Oracle.of_reference reference ~faulty_trace:session.Session.trace
         in
         let root_sids =
           match root_line with

@@ -15,21 +15,22 @@
 
 type verdict = Found of int | Not_found
 
+(* The subregions of [r1] and [r2] pair positionally: each scan steps
+   both past one sibling's interval. *)
 let rec match_inside r1 reg_r r2 reg_r' ~u =
-  let rec scan subs subs' =
-    match (subs, subs') with
-    | [], _ -> Not_found  (* u must be here; defensive *)
-    | _, [] -> Not_found  (* sibling exhaustion in the switched run *)
-    | s :: rest, s' :: rest' ->
-      if not (Region.in_region reg_r ~u ~r:s) then
-        if Region.sid reg_r s <> Region.sid reg_r' s' then Not_found
-        else scan rest rest'
-      else if Region.sid reg_r s <> Region.sid reg_r' s' then Not_found
+  let stop = Region.last reg_r r1 and stop' = Region.last reg_r' r2 in
+  let rec scan s s' =
+    if s > stop then Not_found  (* u must be here; defensive *)
+    else if s' > stop' then Not_found  (* sibling exhaustion in the switched run *)
+    else if Region.sid reg_r s <> Region.sid reg_r' s' then Not_found
+    else
+      let last = Region.last reg_r s in
+      if u < s || u > last then scan (last + 1) (Region.last reg_r' s' + 1)
       else if u = s then Found s'
       else if Region.branch reg_r s <> Region.branch reg_r' s' then Not_found
       else match_inside s reg_r s' reg_r' ~u
   in
-  scan (Region.children reg_r r1) (Region.children reg_r' r2)
+  scan (r1 + 1) (r2 + 1)
 
 (* Find the instance of [reg'] corresponding to instance [u] of [reg],
    where both executions are identical up to instance [p] (the switch

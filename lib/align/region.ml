@@ -4,75 +4,60 @@ module Trace = Exom_interp.Trace
    instance heads the region formed by itself and the instances
    (transitively) control dependent on it.  The tree is precisely the
    control-parent forest recorded in the trace, with a virtual root
-   (index -1) above the top-level instances. *)
+   (index -1) above the top-level instances.
+
+   A trace lists instances in execution-start order, and an instance is
+   reserved only while its control parent's region is open, so the
+   trace is a preorder of the tree: the region headed by [r] is the
+   index interval [\[r, last.(r)\]], its subregions start at [r + 1],
+   and each one is followed by the next at [last.(c) + 1]. *)
 type t = {
   trace : Trace.t;
-  children : int -> int list;
-  enter : int array;  (* Euler-tour intervals for O(1) subtree tests *)
-  leave : int array;
-  position : int array;  (* index of an instance in its parent's child list *)
+  last : int array;  (* last instance of each region *)
+  sids : int array;  (* what a sibling walk compares, read without a record *)
 }
 
 let root = -1
 
+(* Children follow their parent, so one backward pass sees every
+   region's descendants before the region itself. *)
 let build trace =
   let n = Trace.length trace in
-  let children = Trace.children trace in
-  let enter = Array.make n 0 in
-  let leave = Array.make n 0 in
-  let position = Array.make n 0 in
-  let clock = ref 0 in
-  (* Explicit stack: traces can nest deeply (long loops nest each
-     iteration's predicate under the previous one). *)
-  let stack = Stack.create () in
-  List.iter (fun c -> Stack.push (`Enter c) stack)
-    (List.rev (children root));
-  while not (Stack.is_empty stack) do
-    match Stack.pop stack with
-    | `Enter idx ->
-      enter.(idx) <- !clock;
-      incr clock;
-      Stack.push (`Leave idx) stack;
-      List.iter (fun c -> Stack.push (`Enter c) stack)
-        (List.rev (children idx))
-    | `Leave idx ->
-      leave.(idx) <- !clock;
-      incr clock
+  let last = Array.init n Fun.id and sids = Array.make n 0 in
+  for idx = n - 1 downto 0 do
+    let inst = Trace.get trace idx in
+    let p = inst.Trace.parent in
+    sids.(idx) <- inst.Trace.sid;
+    if p >= 0 && last.(idx) > last.(p) then last.(p) <- last.(idx)
   done;
-  let fill_positions parent =
-    List.iteri (fun i c -> position.(c) <- i) (children parent)
-  in
-  fill_positions root;
-  for idx = 0 to n - 1 do
-    fill_positions idx
-  done;
-  { trace; children; enter; leave; position }
+  { trace; last; sids }
 
-let length t = Trace.length t.trace
+let length t = Array.length t.last
 let get t idx = Trace.get t.trace idx
 
 let parent t idx =
   if idx < 0 then invalid_arg "Region.parent: root has no parent"
   else (Trace.get t.trace idx).Trace.parent
 
-let children t idx = t.children idx
+let last t r = if r < 0 then Array.length t.last - 1 else t.last.(r)
 
 (* Is instance [u] inside the region headed by [r] (heads included)?
    The virtual root contains everything. *)
-let in_region t ~u ~r =
-  r = root || (t.enter.(r) <= t.enter.(u) && t.leave.(u) <= t.leave.(r))
+let in_region t ~u ~r = r = root || (r <= u && u <= t.last.(r))
 
-let first_subregion t r =
-  match t.children r with [] -> None | c :: _ -> Some c
+let first_subregion t r = if r < last t r then Some (r + 1) else None
 
 let sibling t idx =
-  let p = parent t idx in
-  let sibs = t.children p in
-  let pos = t.position.(idx) in
-  List.nth_opt sibs (pos + 1)
+  let next = t.last.(idx) + 1 in
+  if next <= last t (parent t idx) then Some next else None
+
+let children t r =
+  let stop = last t r in
+  let rec walk c = if c > stop then [] else c :: walk (t.last.(c) + 1) in
+  walk (r + 1)
 
 let branch t idx = Trace.branch_of (Trace.get t.trace idx)
-let sid t idx = (Trace.get t.trace idx).Trace.sid
+let sid t idx = t.sids.(idx)
 
 (* Depth of an instance below the virtual root. *)
 let depth t idx =
@@ -83,11 +68,11 @@ let depth t idx =
    by its subregions in brackets — "[6 7 8 [11 12] 6]". *)
 let rec render_region ?(label = sid) t idx =
   let head = string_of_int (label t idx) in
-  match t.children idx with
+  match children t idx with
   | [] -> head
   | kids ->
     Printf.sprintf "[%s %s]" head
       (String.concat " " (List.map (render_region ~label t) kids))
 
 let render_forest ?label t =
-  String.concat ", " (List.map (render_region ?label t) (t.children root))
+  String.concat ", " (List.map (render_region ?label t) (children t root))

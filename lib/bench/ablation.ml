@@ -156,7 +156,8 @@ let compare_with_critical_search ?(cap = 3000) bench fault =
   let faulty = Typecheck.parse_and_check (Bench_types.faulty_source bench fault) in
   let correct = Typecheck.parse_and_check bench.Bench_types.source in
   let input = fault.Bench_types.failing_input in
-  let expected = Oracle.expected ~correct_prog:correct ~input in
+  let reference = Oracle.reference ~correct_prog:correct ~input in
+  let expected = Oracle.reference_outputs reference in
   let s =
     Session.create ~prog:faulty ~input ~expected
       ~profile_inputs:bench.Bench_types.test_inputs ()
@@ -167,9 +168,7 @@ let compare_with_critical_search ?(cap = 3000) bench fault =
     Session.create ~prog:faulty ~input ~expected
       ~profile_inputs:bench.Bench_types.test_inputs ()
   in
-  let oracle =
-    Oracle.create ~faulty_trace:s2.Session.trace ~correct_prog:correct ~input
-  in
+  let oracle = Oracle.of_reference reference ~faulty_trace:s2.Session.trace in
   let roots = Bench_types.root_sids bench fault faulty in
   let report = Demand.locate s2 ~oracle ~root_sids:roots in
   {
@@ -192,14 +191,13 @@ let compare_verify_modes ?(max_iterations = 30) bench fault =
     in
     let correct = Typecheck.parse_and_check bench.Bench_types.source in
     let input = fault.Bench_types.failing_input in
-    let expected = Oracle.expected ~correct_prog:correct ~input in
+    let reference = Oracle.reference ~correct_prog:correct ~input in
     let s =
-      Session.create ~prog:faulty ~input ~expected
+      Session.create ~prog:faulty ~input
+        ~expected:(Oracle.reference_outputs reference)
         ~profile_inputs:bench.Bench_types.test_inputs ()
     in
-    let oracle =
-      Oracle.create ~faulty_trace:s.Session.trace ~correct_prog:correct ~input
-    in
+    let oracle = Oracle.of_reference reference ~faulty_trace:s.Session.trace in
     let roots = Bench_types.root_sids bench fault faulty in
     let config =
       { Demand.default_config with verify_mode = mode; max_iterations }

@@ -57,7 +57,8 @@ let run_fault ?obs ?config ?(budget = Interp.default_budget) ?policy ?chaos
   let faulty = Typecheck.parse_and_check faulty_src in
   let correct = Typecheck.parse_and_check bench.Bench_types.source in
   let input = fault.Bench_types.failing_input in
-  let expected = Oracle.expected ~correct_prog:correct ~input in
+  let reference = Oracle.reference ~correct_prog:correct ~input in
+  let expected = Oracle.reference_outputs reference in
   (* Table 4: plain vs graph-constructing execution *)
   let timer name f = Exom_obs.Obs.timed obs name f in
   let seconds name =
@@ -77,8 +78,7 @@ let run_fault ?obs ?config ?(budget = Interp.default_budget) ?policy ?chaos
   let plain_seconds = seconds "runner.plain_run" -. plain0 in
   let graph_seconds = seconds "runner.session_build" -. graph0 in
   let oracle =
-    Oracle.create ~faulty_trace:session.Session.trace ~correct_prog:correct
-      ~input
+    Oracle.of_reference reference ~faulty_trace:session.Session.trace
   in
   let root_sids = Bench_types.root_sids bench fault faulty in
   (* Table 2: the relevant slice of the wrong output *)

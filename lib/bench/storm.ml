@@ -74,9 +74,8 @@ type fixture = {
   fx_label : string;
   fx_bench : Bench_types.t;
   fx_faulty : Exom_lang.Ast.program;
-  fx_correct : Exom_lang.Ast.program;
   fx_input : int list;
-  fx_expected : int list;
+  fx_reference : Oracle.reference;  (* the corrected program's run *)
   fx_roots : int list;
 }
 
@@ -98,9 +97,8 @@ let fixture (name, fid) =
     fx_label = Printf.sprintf "%s/%s" name fid;
     fx_bench = bench;
     fx_faulty = faulty;
-    fx_correct = correct;
     fx_input = input;
-    fx_expected = Oracle.expected ~correct_prog:correct ~input;
+    fx_reference = Oracle.reference ~correct_prog:correct ~input;
     fx_roots = Bench_types.root_sids bench fault faulty;
   }
 
@@ -111,7 +109,7 @@ let journaled_run ?plan ?store ?chaos ~jobs fx journal =
   let ledger = Ledger.create () in
   let session =
     Session.create ?chaos ?store ~ledger ~prog:fx.fx_faulty ~input:fx.fx_input
-      ~expected:fx.fx_expected ~profile_inputs:fx.fx_bench.Bench_types.test_inputs
+      ~expected:(Oracle.reference_outputs fx.fx_reference) ~profile_inputs:fx.fx_bench.Bench_types.test_inputs
       ()
   in
   (match plan with
@@ -127,8 +125,7 @@ let journaled_run ?plan ?store ?chaos ~jobs fx journal =
     Ledger.resume_marker ledger ~replayed:p.Recover.salvaged_events
       ~truncated:p.Recover.truncated);
   let oracle =
-    Oracle.create ~faulty_trace:session.Session.trace
-      ~correct_prog:fx.fx_correct ~input:fx.fx_input
+    Oracle.of_reference fx.fx_reference ~faulty_trace:session.Session.trace
   in
   let pool = Pool.create ~jobs () in
   let report =

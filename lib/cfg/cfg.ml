@@ -18,14 +18,8 @@ let node_of t sid =
   | Some n -> n
   | None -> invalid_arg (Printf.sprintf "Cfg.node_of: sid %d not in this CFG" sid)
 
-let node_of_opt t sid = Hashtbl.find_opt t.node_of_sid sid
-
-let stmt_at t node = t.stmt_of.(node)
-
 let sid_at t node =
   match t.stmt_of.(node) with Some s -> Some s.Ast.sid | None -> None
-
-let mem_sid t sid = Hashtbl.mem t.node_of_sid sid
 
 let build ~fname block =
   let node_of_sid = Hashtbl.create 32 in
@@ -100,28 +94,3 @@ let iter_nodes f t =
   for n = 0 to t.nnodes - 1 do
     f n
   done
-
-let pp ppf t =
-  let name = Option.value ~default:"<globals>" t.fname in
-  Fmt.pf ppf "cfg %s (%d nodes)@." name t.nnodes;
-  iter_nodes
-    (fun n ->
-      let desc =
-        if n = t.entry then "entry"
-        else if n = t.exit_ then "exit"
-        else
-          match t.stmt_of.(n) with
-          | Some s -> Printf.sprintf "s%d" s.Ast.sid
-          | None -> "?"
-      in
-      let succs =
-        List.map
-          (fun (s, l) ->
-            let tag =
-              match l with Lseq -> "" | Lthen -> "T:" | Lelse -> "F:"
-            in
-            Printf.sprintf "%s%d" tag s)
-          t.succ.(n)
-      in
-      Fmt.pf ppf "  %d(%s) -> %s@." n desc (String.concat ", " succs))
-    t

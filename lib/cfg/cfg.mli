@@ -25,9 +25,6 @@ val of_globals : Exom_lang.Ast.block -> t
 (** Raises [Invalid_argument] if the statement is not in this CFG. *)
 val node_of : t -> int -> int
 
-val node_of_opt : t -> int -> int option
-val mem_sid : t -> int -> bool
-val stmt_at : t -> int -> Exom_lang.Ast.stmt option
 val sid_at : t -> int -> int option
 val successors : t -> int -> (int * label) list
 val predecessors : t -> int -> (int * label) list
@@ -38,4 +35,3 @@ val branch_successor : t -> int -> bool -> int option
 
 val is_predicate_node : t -> int -> bool
 val iter_nodes : (int -> unit) -> t -> unit
-val pp : t Fmt.t

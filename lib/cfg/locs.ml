@@ -19,7 +19,6 @@ end)
 type t = {
   alias : Alias.t;
   scopes : Scopes.t;
-  func_of_sid : (int, string option) Hashtbl.t;
   defs : (int, Lset.t) Hashtbl.t;
   uses : (int, Lset.t) Hashtbl.t;
   def_sum : (string, Lset.t) Hashtbl.t;
@@ -105,21 +104,10 @@ let summarizable = function
 
 let build prog alias =
   let scopes = Alias.scopes alias in
-  let func_of_sid = Hashtbl.create 64 in
-  List.iter
-    (fun s -> Hashtbl.replace func_of_sid s.Ast.sid None)
-    prog.Ast.globals;
-  List.iter
-    (fun fn ->
-      Ast.iter_stmts
-        (fun s -> Hashtbl.replace func_of_sid s.Ast.sid (Some fn.Ast.fname))
-        fn.Ast.fbody)
-    prog.Ast.funcs;
   let t =
     {
       alias;
       scopes;
-      func_of_sid;
       defs = Hashtbl.create 64;
       uses = Hashtbl.create 64;
       def_sum = Hashtbl.create 16;
@@ -206,11 +194,6 @@ let uses t sid = Option.value ~default:Lset.empty (Hashtbl.find_opt t.uses sid)
 
 let def_summary t fname =
   Option.value ~default:Lset.empty (Hashtbl.find_opt t.def_sum fname)
-
-let use_summary t fname =
-  Option.value ~default:Lset.empty (Hashtbl.find_opt t.use_sum fname)
-
-let func_of_sid t sid = Hashtbl.find_opt t.func_of_sid sid
 
 let defines t sid loc = Lset.mem loc (defs t sid)
 

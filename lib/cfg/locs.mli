@@ -24,8 +24,6 @@ val defs : t -> int -> Lset.t
 
 val uses : t -> int -> Lset.t
 val def_summary : t -> string -> Lset.t
-val use_summary : t -> string -> Lset.t
-val func_of_sid : t -> int -> string option option
 val defines : t -> int -> loc -> bool
 val loc_of_var : t -> fname:string option -> string -> loc
 

@@ -1,5 +1,3 @@
-module Iset = Set.Make (Int)
-
 (* Condition (iv) of the paper's Definition 1: given that predicate [p]
    evaluated to [taken], could a *different* definition of location [loc]
    reach use [u] if [p] had evaluated to [not taken]?
@@ -18,123 +16,162 @@ module Iset = Set.Make (Int)
      killed before the use, the paper's condition-(iii) illustration);
      across functions kill information is not tracked (conservative).
 
+   Each condition is a set of nodes of [p]'s CFG, kept as a bitset built
+   at most once per [t], so a query ANDs words: the untaken-only nodes,
+   the nodes defining [loc], the nodes reaching [u] def-clear (same
+   function only) and, under [observed], the nodes witnessed reaching
+   [u].
+
    Still deliberately conservative overall (calls inherit callee def
    summaries, array classes collapse all elements): the source of the
    over-approximation that inflates relevant slices in Table 2. *)
 
+(* Node sets, 63 nodes to a word. *)
+let bits n = Array.make ((n + 62) / 63) 0
+let add b i = b.(i / 63) <- b.(i / 63) lor (1 lsl (i mod 63))
+let mem b i = b.(i / 63) land (1 lsl (i mod 63)) <> 0
+
+type fn = {
+  cfg : Cfg.t;
+  full : int array;  (* every node: the operand of an absent condition *)
+  diffs : (int array * int array) Lazy.t array;
+      (* predicate node -> the untaken-only nodes when it took true, and
+         when it took false *)
+  defs : (Locs.loc, int array * (int, int array) Hashtbl.t) Hashtbl.t;
+      (* loc -> its defining nodes, and by use node the nodes with a
+         successor that starts a loc-def-clear path to the use *)
+  witnessed : (int, int array) Hashtbl.t;  (* use sid -> [observed] nodes *)
+}
+
 type t = {
-  info : Proginfo.t;
   observed : (def_sid:int -> use_sid:int -> bool) option;
       (* evidence filter, e.g. the union dependence graph: a candidate
          definition qualifies only if some test run witnessed its value
          reaching the use statement *)
-  reach_cache : (string option * int * int, Iset.t) Hashtbl.t;
-      (* (function, start, avoided predicate) -> forward-reachable nodes *)
-  clear_cache : (string option * int * Locs.loc, Iset.t) Hashtbl.t;
-      (* (function, use node, loc) -> backward def-clear sources *)
-  verdict_cache : (int * bool * int * Locs.loc, bool) Hashtbl.t;
+  fn_of : int array;  (* sid -> index of its function in [fns] *)
+  node_of : int array;  (* sid -> its node in that function's CFG *)
+  fns : fn Lazy.t array;
 }
 
-let create ?observed info =
-  {
-    info;
-    observed;
-    reach_cache = Hashtbl.create 64;
-    clear_cache = Hashtbl.create 64;
-    verdict_cache = Hashtbl.create 256;
-  }
-
-let node_defines t cfg node loc =
-  match Cfg.sid_at cfg node with
-  | Some sid -> Locs.defines (Proginfo.locs t.info) sid loc
-  | None -> false
+let memo tbl key build =
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+    let v = build () in
+    Hashtbl.replace tbl key v;
+    v
 
 (* Forward reachability that never traverses *through* [avoid] (the
    queried predicate): nodes only reachable by re-entering the predicate
    belong to later dynamic instances of it. *)
-let forward_reachable t cfg fname start ~avoid =
-  match Hashtbl.find_opt t.reach_cache (fname, start, avoid) with
-  | Some r -> r
-  | None ->
-    let visited = ref Iset.empty in
-    let rec visit n =
-      if not (Iset.mem n !visited) then begin
-        visited := Iset.add n !visited;
-        if n <> avoid then
-          List.iter (fun (s, _) -> visit s) (Cfg.successors cfg n)
-      end
-    in
-    visit start;
-    Hashtbl.replace t.reach_cache (fname, start, avoid) !visited;
-    !visited
+let reachable cfg start ~avoid =
+  let seen = bits cfg.Cfg.nnodes in
+  let rec visit n =
+    if not (mem seen n) then begin
+      add seen n;
+      if n <> avoid then List.iter (fun (s, _) -> visit s) (Cfg.successors cfg n)
+    end
+  in
+  visit start;
+  seen
 
-(* Nodes [m] such that there is a path m => use_node whose interior
-   (including [m] itself, excluding [use_node]) defines [loc] nowhere.
-   [use_node] is a member.  A definition D reaches the use def-clear iff
-   one of D's successors is in this set. *)
-let clear_sources t cfg fname use_node loc =
-  match Hashtbl.find_opt t.clear_cache (fname, use_node, loc) with
-  | Some r -> r
-  | None ->
-    let result = ref (Iset.singleton use_node) in
-    let rec visit n =
-      List.iter
-        (fun (p, _) ->
-          if (not (Iset.mem p !result)) && not (node_defines t cfg p loc)
-          then begin
-            result := Iset.add p !result;
-            visit p
-          end)
-        (Cfg.predecessors cfg n)
-    in
-    visit use_node;
-    Hashtbl.replace t.clear_cache (fname, use_node, loc) !result;
-    !result
+let minus = Array.map2 (fun a b -> a land lnot b)
+
+let make_fn info cfg =
+  let n = cfg.Cfg.nnodes in
+  let diffs =
+    Array.init n (fun p ->
+        lazy
+          (match (Cfg.branch_successor cfg p true, Cfg.branch_successor cfg p false) with
+          | Some s_then, Some s_else ->
+            let r_then = reachable cfg s_then ~avoid:p in
+            let r_else = reachable cfg s_else ~avoid:p in
+            (minus r_else r_then, minus r_then r_else)
+          | _ -> (bits n, bits n) (* not a predicate *)))
+  in
+  let defs = Hashtbl.create 16 in
+  Cfg.iter_nodes
+    (fun node ->
+      Option.iter
+        (fun sid ->
+          Locs.Lset.iter
+            (fun loc ->
+              add (fst (memo defs loc (fun () -> (bits n, Hashtbl.create 8)))) node)
+            (Locs.defs (Proginfo.locs info) sid))
+        (Cfg.sid_at cfg node))
+    cfg;
+  { cfg; full = Array.make (Array.length (bits n)) (-1); diffs; defs;
+    witnessed = Hashtbl.create 16 }
+
+let create ?observed info =
+  let prog = Proginfo.program info in
+  let nsids = Exom_lang.Ast.stmt_count prog in
+  let fn_of = Array.make nsids 0 and node_of = Array.make nsids 0 in
+  let fn i fname =
+    let cfg = Proginfo.cfg_of info fname in
+    Cfg.iter_nodes
+      (fun n ->
+        Option.iter
+          (fun sid ->
+            fn_of.(sid) <- i;
+            node_of.(sid) <- n)
+          (Cfg.sid_at cfg n))
+      cfg;
+    lazy (make_fn info cfg)
+  in
+  let fnames = None :: List.map (fun f -> Some f.Exom_lang.Ast.fname) prog.funcs in
+  { observed; fn_of; node_of; fns = Array.of_list (List.mapi fn fnames) }
+
+(* The nodes one of whose successors starts a path to [use_node] that
+   defines the loc nowhere before [use_node]: the predecessors of every
+   node of the backward def-clear closure from [use_node]. *)
+let into_clear f (defs, by_use) use_node =
+  memo by_use use_node @@ fun () ->
+  let clear = bits f.cfg.Cfg.nnodes and into = bits f.cfg.Cfg.nnodes in
+  let rec visit m =
+    List.iter
+      (fun (p, _) ->
+        add into p;
+        if not (mem clear p || mem defs p) then begin
+          add clear p;
+          visit p
+        end)
+      (Cfg.predecessors f.cfg m)
+  in
+  add clear use_node;
+  visit use_node;
+  into
+
+let witnessed f observed ~use_sid =
+  memo f.witnessed use_sid @@ fun () ->
+  let b = bits f.cfg.Cfg.nnodes in
+  Cfg.iter_nodes
+    (fun n ->
+      match Cfg.sid_at f.cfg n with
+      | Some def_sid when observed ~def_sid ~use_sid -> add b n
+      | _ -> ())
+    f.cfg;
+  b
 
 let could_reach_differently t ~pred_sid ~taken ~use_sid ~loc =
-  let key = (pred_sid, taken, use_sid, loc) in
-  match Hashtbl.find_opt t.verdict_cache key with
-  | Some v -> v
-  | None ->
-    let pfname = Proginfo.func_of_sid t.info pred_sid in
-    let ufname = Proginfo.func_of_sid t.info use_sid in
-    let cfg = Proginfo.cfg_of t.info pfname in
-    let pnode = Cfg.node_of cfg pred_sid in
-    let verdict =
-      match
-        ( Cfg.branch_successor cfg pnode (not taken),
-          Cfg.branch_successor cfg pnode taken )
-      with
-      | None, _ | _, None -> false
-      | Some nt_succ, Some t_succ ->
-        let reach_nt = forward_reachable t cfg pfname nt_succ ~avoid:pnode in
-        let reach_t = forward_reachable t cfg pfname t_succ ~avoid:pnode in
-        let witnessed d =
-          match t.observed with
-          | None -> true
-          | Some f -> (
-            match Cfg.sid_at cfg d with
-            | Some def_sid -> f ~def_sid ~use_sid
-            | None -> false)
-        in
-        let candidate_defs =
-          Iset.filter
-            (fun d ->
-              (not (Iset.mem d reach_t))
-              && node_defines t cfg d loc
-              && witnessed d)
-            reach_nt
-        in
-        if Iset.is_empty candidate_defs then false
-        else if pfname <> ufname then true
-        else begin
-          let ucfg_node = Cfg.node_of cfg use_sid in
-          let clear = clear_sources t cfg pfname ucfg_node loc in
-          Iset.exists
-            (fun d ->
-              List.exists (fun (s, _) -> Iset.mem s clear) (Cfg.successors cfg d))
-            candidate_defs
-        end
+  let f = Lazy.force t.fns.(t.fn_of.(pred_sid)) in
+  match Hashtbl.find_opt f.defs loc with
+  | None -> false
+  | Some ((defs, _) as sets) ->
+    let if_true, if_false = Lazy.force f.diffs.(t.node_of.(pred_sid)) in
+    let diff = if taken then if_true else if_false in
+    let clear =
+      if t.fn_of.(use_sid) = t.fn_of.(pred_sid) then
+        into_clear f sets t.node_of.(use_sid)
+      else f.full
     in
-    Hashtbl.replace t.verdict_cache key verdict;
-    verdict
+    let wit =
+      match t.observed with
+      | None -> f.full
+      | Some observed -> witnessed f observed ~use_sid
+    in
+    let rec meet i =
+      i >= 0
+      && (diff.(i) land defs.(i) land clear.(i) land wit.(i) <> 0 || meet (i - 1))
+    in
+    meet (Array.length diff - 1)

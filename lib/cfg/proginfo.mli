@@ -16,7 +16,6 @@ val cfg_of : t -> string option -> Cfg.t
 val stmt_of_sid : t -> int -> Exom_lang.Ast.stmt
 
 val func_of_sid : t -> int -> string option
-val cfg_of_sid : t -> int -> Cfg.t
 
 (** Direct static control dependences of a statement (predicate sids of
     the same function). *)

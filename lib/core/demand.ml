@@ -388,25 +388,28 @@ let locate ?(config = default_config) ?pool (s : Session.t) ~oracle
            (slices, PD membership, the bound) happens before the batch
            and depends only on edges added so far, so batching the
            verifications is exactly the sequential loop. *)
-        let targets =
-          Slice.Iset.union
-            (Slice.members (slice ()))
-            (Slice.members (correct_slice ()))
-          |> Slice.Iset.elements
-          |> List.filter (fun t -> t <> u && t > p)
+        let ts =
+          Obs.with_span obs ~cat:"demand" "demand.related" @@ fun () ->
+          let targets =
+            Slice.Iset.union
+              (Slice.members (slice ()))
+              (Slice.members (correct_slice ()))
+            |> Slice.Iset.elements
+            |> List.filter (fun t -> t <> u && t > p)
+          in
+          let related = ref 0 in
+          let selected = ref [] in
+          List.iter
+            (fun t ->
+              if !related < config.max_related_targets then begin
+                if List.mem p (memo_pd pds t) then begin
+                  incr related;
+                  selected := t :: !selected
+                end
+              end)
+            targets;
+          List.rev !selected
         in
-        let related = ref 0 in
-        let selected = ref [] in
-        List.iter
-          (fun t ->
-            if !related < config.max_related_targets then begin
-              if List.mem p (memo_pd pds t) then begin
-                incr related;
-                selected := t :: !selected
-              end
-            end)
-          targets;
-        let ts = List.rev !selected in
         let rts = verify_batch (List.map (fun t -> (p, t)) ts) in
         List.iter2
           (fun t (rt : Verdict.result) ->

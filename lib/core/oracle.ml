@@ -18,23 +18,26 @@ module Value = Exom_interp.Value
    mutations: statement ids and region shapes coincide, only values and
    branch outcomes differ. *)
 
-type t = {
-  benign : int -> bool;
-  expected_outputs : int list;
-}
+type t = int -> bool
 
-(* The corrected program's output stream, for building the session's
-   expected outputs before its trace exists. *)
+type reference = { correct_trace : Trace.t; outputs : int list }
+
+(* One traced run of the corrected program serves both the session's
+   expected outputs and, once the failing run exists, the oracle. *)
+let reference ~correct_prog ~input =
+  let run = Interp.run correct_prog ~input in
+  match run.Interp.trace with
+  | Some correct_trace ->
+    { correct_trace; outputs = Interp.output_values run }
+  | None -> invalid_arg "Oracle.reference: tracing disabled"
+
+let reference_outputs r = r.outputs
+
+(* The output stream alone needs no trace. *)
 let expected ~correct_prog ~input =
   Interp.output_values (Interp.run ~tracing:false correct_prog ~input)
 
-let create ~faulty_trace ~correct_prog ~input =
-  let correct_run = Interp.run correct_prog ~input in
-  let correct_trace =
-    match correct_run.Interp.trace with
-    | Some t -> t
-    | None -> invalid_arg "Oracle.create: tracing disabled"
-  in
+let of_reference { correct_trace; _ } ~faulty_trace =
   let reg_faulty = Region.build faulty_trace in
   let reg_correct = Region.build correct_trace in
   let cache = Hashtbl.create 256 in
@@ -75,7 +78,9 @@ let create ~faulty_trace ~correct_prog ~input =
       Hashtbl.replace cache idx b;
       b
   in
-  { benign; expected_outputs = Interp.output_values correct_run }
+  benign
 
-let benign t idx = t.benign idx
-let expected_outputs t = t.expected_outputs
+let create ~faulty_trace ~correct_prog ~input =
+  of_reference (reference ~correct_prog ~input) ~faulty_trace
+
+let benign t idx = t idx

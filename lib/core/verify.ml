@@ -526,7 +526,9 @@ let verify_batch ?(mode = Edge_approximation) ?pool (s : Session.t) pairs =
                 let region' =
                   lazy
                     (match run'.Interp.trace with
-                    | Some trace' -> Region.build trace'
+                    | Some trace' ->
+                      Obs.with_span wobs ~cat:"verify" "align.region"
+                        (fun () -> Region.build trace')
                     | None -> assert false (* forced only under Some *))
                 in
                 Obs.with_span wobs ~cat:"verify" "verify.align" @@ fun () ->

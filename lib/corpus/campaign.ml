@@ -400,9 +400,10 @@ let run_triple ?config ?pool ~dir triple =
   | exception _ -> row "error" []
   | prog, correct -> (
     let input = triple.t_input in
-    match Oracle.expected ~correct_prog:correct ~input with
+    match Oracle.reference ~correct_prog:correct ~input with
     | exception _ -> row "error" []
-    | expected -> (
+    | reference -> (
+      let expected = Oracle.reference_outputs reference in
       let store = Store.create ~dir:(store_dir dir) () in
       let ledger = Ledger.create () in
       match
@@ -428,8 +429,7 @@ let run_triple ?config ?pool ~dir triple =
             ~truncated:p.Recover.truncated
         | None -> ());
         let oracle =
-          Oracle.create ~faulty_trace:session.Session.trace
-            ~correct_prog:correct ~input
+          Oracle.of_reference reference ~faulty_trace:session.Session.trace
         in
         let report =
           Demand.locate ?config ?pool session ~oracle

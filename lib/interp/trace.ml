@@ -83,19 +83,6 @@ let iter f t = Vec.iter f t.instances
 let find_instance t ~sid ~occ =
   Vec.find_opt (fun i -> i.sid = sid && i.occ = occ) t.instances
 
-(* Children lists, in trace (= execution) order.  Instances with parent -1
-   are roots. *)
-let children t =
-  let n = length t in
-  let kids = Array.make (n + 1) [] in
-  (* slot n is the virtual root *)
-  for idx = n - 1 downto 0 do
-    let inst = get t idx in
-    let slot = if inst.parent < 0 then n else inst.parent in
-    kids.(slot) <- idx :: kids.(slot)
-  done;
-  fun idx -> if idx < 0 then kids.(n) else kids.(idx)
-
 let is_predicate inst =
   match inst.kind with Kpredicate _ -> true | _ -> false
 

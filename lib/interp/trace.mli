@@ -14,7 +14,9 @@
     executing, a statement containing calls appears in the trace before
     its callees' instances — matching the trace layout of Figure 2 of
     the paper — and its [uses] may reference later instances (return
-    cells). *)
+    cells).  An instance is reserved only while its control parent is
+    still executing, so a trace is a preorder of its control-parent
+    forest: every region is an interval of indices. *)
 
 type ikind =
   | Kassign
@@ -97,11 +99,6 @@ val occurrences : t -> int -> int
 
 val iter : (instance -> unit) -> t -> unit
 val find_instance : t -> sid:int -> occ:int -> instance option
-
-(** [children t] precomputes the region tree: [children t idx] lists the
-    instances whose control parent is [idx], in execution order; pass a
-    negative index for the top-level instances. *)
-val children : t -> int -> int list
 
 val is_predicate : instance -> bool
 val branch_of : instance -> bool option

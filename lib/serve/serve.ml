@@ -316,10 +316,11 @@ let rec locate_once st (l : Proto.locate) ~attempt =
   | Error e, _ | _, Error e -> Proto.Failed e
   | Ok prog, Ok correct -> (
     let input = l.Proto.lc_input in
-    match Oracle.expected ~correct_prog:correct ~input with
+    match Oracle.reference ~correct_prog:correct ~input with
     | exception e ->
       Proto.Failed ("correct program failed: " ^ Printexc.to_string e)
-    | expected -> (
+    | reference -> (
+      let expected = Oracle.reference_outputs reference in
       let policy =
         match l.Proto.lc_deadline with
         | None -> Guard.default_policy
@@ -377,8 +378,7 @@ let rec locate_once st (l : Proto.locate) ~attempt =
             ~truncated:p.Recover.truncated
         | None -> ());
         let oracle =
-          Oracle.create ~faulty_trace:session.Session.trace
-            ~correct_prog:correct ~input
+          Oracle.of_reference reference ~faulty_trace:session.Session.trace
         in
         let root_sids = root_sids_of_line prog l.Proto.lc_root_line in
         (* the request's whole search runs under one serve.request
